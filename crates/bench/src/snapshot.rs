@@ -376,15 +376,21 @@ pub enum Verdict {
         /// Current metric value.
         current: usize,
     },
-    /// A pass that removed instructions somewhere in the baseline now
-    /// removes zero instructions across *all* cells — it has silently
-    /// gone inert (unregistered, reordered into impotence, or broken)
-    /// even if another pass papers over the bytes.
+    /// A pass that removed instructions (or reported changes) somewhere
+    /// in the baseline now removes zero instructions (or reports zero
+    /// changes) across *all* cells — it has silently gone inert
+    /// (unregistered, reordered into impotence, or broken) even if
+    /// another pass papers over the bytes. The `changes` axis covers the
+    /// passes whose `insts_removed` is zero by construction (code motion,
+    /// forwarding into copies, φ-arg pruning).
     PassInert {
         /// Canonical pass name.
         name: String,
-        /// Total instructions the pass removed across the baseline.
-        baseline_removed: usize,
+        /// The per-pass counter that dropped to zero: `insts_removed` or
+        /// `changes`.
+        metric: &'static str,
+        /// That counter's total across the baseline.
+        baseline: usize,
     },
     /// The canonical storm's deterministic executed-instruction count
     /// grew beyond tolerance — the cell got *slower* on the time-like
@@ -481,10 +487,9 @@ impl Verdict {
             ),
             Verdict::PassInert {
                 name,
-                baseline_removed,
-            } => format!(
-                "  INERT     pass `{name}` removed {baseline_removed} insts in the baseline, 0 now"
-            ),
+                metric,
+                baseline,
+            } => format!("  INERT     pass `{name}` {metric} {baseline} in the baseline, 0 now"),
             Verdict::DynInstsRegressed {
                 key,
                 baseline,
@@ -539,8 +544,9 @@ fn allowed_dyn_growth(baseline: usize) -> usize {
 /// counts) fails outright rather than skipping the cell. A cell whose
 /// baseline recorded a warm driver-cache hit must still hit (the
 /// host-dependent compile *times* are carried but never gated). Finally,
-/// any pass that removed instructions somewhere in the baseline but
-/// removes zero across every current cell is flagged as silently inert.
+/// any pass that removed instructions (or reported changes) somewhere in
+/// the baseline but removes zero (or reports zero) across every current
+/// cell is flagged as silently inert.
 pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
     let current_by_key: BTreeMap<String, &Cell> =
         current.cells.iter().map(|c| (c.key(), c)).collect();
@@ -642,24 +648,31 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Vec<Verdict> {
             verdicts.push(Verdict::Unbaselined { key: cur.key() });
         }
     }
-    // Pass-inert sweep: compare per-pass `insts_removed` totals across
-    // the whole matrix.
-    let removed_by_pass = |snap: &Snapshot| {
-        let mut totals: BTreeMap<String, usize> = BTreeMap::new();
+    // Pass-inert sweep: compare per-pass `insts_removed` and `changes`
+    // totals across the whole matrix.
+    const COUNTERS: [&str; 2] = ["insts_removed", "changes"];
+    let totals_by_pass = |snap: &Snapshot| {
+        let mut totals: BTreeMap<String, [usize; 2]> = BTreeMap::new();
         for cell in &snap.cells {
             for p in &cell.passes {
-                *totals.entry(p.name.clone()).or_default() += p.insts_removed;
+                let t = totals.entry(p.name.clone()).or_default();
+                t[0] += p.insts_removed;
+                t[1] += p.changes;
             }
         }
         totals
     };
-    let current_removed = removed_by_pass(current);
-    for (name, baseline_removed) in removed_by_pass(baseline) {
-        if baseline_removed > 0 && current_removed.get(&name).copied().unwrap_or(0) == 0 {
-            verdicts.push(Verdict::PassInert {
-                name,
-                baseline_removed,
-            });
+    let current_totals = totals_by_pass(current);
+    for (name, base) in totals_by_pass(baseline) {
+        let cur = current_totals.get(&name).copied().unwrap_or_default();
+        for (i, metric) in COUNTERS.into_iter().enumerate() {
+            if base[i] > 0 && cur[i] == 0 {
+                verdicts.push(Verdict::PassInert {
+                    name: name.clone(),
+                    metric,
+                    baseline: base[i],
+                });
+            }
         }
     }
     verdicts
@@ -1130,6 +1143,45 @@ mod tests {
         assert!(!compare(&base, &base.clone())
             .iter()
             .any(|v| v.is_regression()));
+    }
+
+    #[test]
+    fn compare_flags_passes_gone_inert_on_changes() {
+        // A code-motion pass removes zero instructions by construction;
+        // only its `changes` total shows it doing anything.
+        let licm = PassCell {
+            name: "licm".into(),
+            runs: 3,
+            changes: 2,
+            insts_removed: 0,
+        };
+        let mut base = sample_snapshot();
+        base.cells[0].passes.push(licm.clone());
+        let mut cur = base.clone();
+        assert!(!compare(&base, &cur).iter().any(|v| v.is_regression()));
+        // Still executed, never rewrites anything any more.
+        cur.cells[0].passes[1].changes = 0;
+        let verdicts = compare(&base, &cur);
+        let inert: Vec<_> = verdicts
+            .iter()
+            .filter(|v| matches!(v, Verdict::PassInert { .. }))
+            .collect();
+        assert_eq!(inert.len(), 1, "{verdicts:?}");
+        assert_eq!(
+            inert[0],
+            &Verdict::PassInert {
+                name: "licm".into(),
+                metric: "changes",
+                baseline: 2,
+            }
+        );
+        assert!(inert[0].is_regression());
+        assert!(inert[0].render().contains("licm"), "{:?}", inert[0]);
+        // Changes that move between cells keep the pass live.
+        let mut moved = base.clone();
+        moved.cells[0].passes[1].changes = 0;
+        moved.cells[1].passes.push(licm);
+        assert!(!compare(&base, &moved).iter().any(|v| v.is_regression()));
     }
 
     #[test]

@@ -23,21 +23,6 @@ pub fn predecessors(f: &MirFunction) -> Vec<Vec<BlockId>> {
     preds
 }
 
-/// Blocks reachable from the entry.
-pub fn reachable(f: &MirFunction) -> BTreeSet<BlockId> {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![BlockId(0)];
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        for s in f.block(b).term.succs() {
-            stack.push(s);
-        }
-    }
-    seen
-}
-
 /// Reverse postorder over reachable blocks (entry first).
 pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
     let mut visited = BTreeSet::new();
@@ -63,9 +48,13 @@ pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
 
 /// Immediate dominators (entry maps to itself).
 pub fn dominators(f: &MirFunction) -> BTreeMap<BlockId, BlockId> {
-    let rpo = reverse_postorder(f);
+    dominators_with(&reverse_postorder(f), &predecessors(f))
+}
+
+/// [`dominators`] from an already computed [`reverse_postorder`] and
+/// [`predecessors`] of the function (the analysis cache's entry point).
+pub fn dominators_with(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> BTreeMap<BlockId, BlockId> {
     let order: BTreeMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let preds = predecessors(f);
     let mut idom: BTreeMap<BlockId, BlockId> = BTreeMap::new();
     idom.insert(BlockId(0), BlockId(0));
     let mut changed = true;
@@ -217,15 +206,23 @@ impl NaturalLoop {
 /// tree, merging loops that share a header. Returned innermost-first
 /// (ascending body size), which is the order loop transforms want.
 pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
-    let idom = dominators(f);
-    let preds = predecessors(f);
+    natural_loops_with(f, &dominators(f), &predecessors(f))
+}
+
+/// [`natural_loops`] from an already computed [`dominators`] map and
+/// [`predecessors`] of `f`.
+pub fn natural_loops_with(
+    f: &MirFunction,
+    idom: &BTreeMap<BlockId, BlockId>,
+    preds: &[Vec<BlockId>],
+) -> Vec<NaturalLoop> {
     let mut by_header: BTreeMap<BlockId, NaturalLoop> = BTreeMap::new();
     for n in f.block_ids() {
         if !idom.contains_key(&n) {
             continue; // unreachable
         }
         for h in f.block(n).term.succs() {
-            if !dominates(&idom, h, n) {
+            if !dominates(idom, h, n) {
                 continue; // not a back edge
             }
             let lp = by_header.entry(h).or_insert_with(|| NaturalLoop {
@@ -275,8 +272,16 @@ fn intersect(
 
 /// Dominance frontiers (Cytron et al.).
 pub fn dominance_frontiers(f: &MirFunction) -> BTreeMap<BlockId, BTreeSet<BlockId>> {
-    let idom = dominators(f);
-    let preds = predecessors(f);
+    dominance_frontiers_with(f, &dominators(f), &predecessors(f))
+}
+
+/// [`dominance_frontiers`] from an already computed [`dominators`] map
+/// and [`predecessors`] of `f`.
+pub fn dominance_frontiers_with(
+    f: &MirFunction,
+    idom: &BTreeMap<BlockId, BlockId>,
+    preds: &[Vec<BlockId>],
+) -> BTreeMap<BlockId, BTreeSet<BlockId>> {
     let mut df: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
     for b in f.block_ids() {
         if !idom.contains_key(&b) {
@@ -664,6 +669,5 @@ mod tests {
         });
         let rpo = reverse_postorder(&f);
         assert_eq!(rpo.len(), 4, "dangling block not visited");
-        assert!(reachable(&f).len() == 4);
     }
 }

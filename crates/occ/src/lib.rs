@@ -85,6 +85,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod backend;
 pub mod cfg;
 pub mod driver;

@@ -298,7 +298,7 @@ impl Sym {
 /// Registers with several definitions (non-SSA form) resolve to
 /// [`AddrInfo::Unknown`], so the result is conservative — and therefore
 /// sound — on any input, SSA or not.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnAddrs {
     sym: BTreeMap<VReg, Sym>,
 }
@@ -576,7 +576,7 @@ impl<'a> CellState<'a> {
 /// One block's summarized effect on tracked memory cells — the transfer
 /// function of the cross-block availability dataflow, precomputed by
 /// running [`CellState`] over the block once.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockCells {
     /// Cells whose content is in a register at block exit, whatever the
     /// entry state was (a store's source or a load's destination with no

@@ -24,6 +24,67 @@
 //! residue is first visible; they are cleanup and never drive another
 //! outer round on their own.
 //!
+//! ## The analysis cache
+//!
+//! Every step of a function's run — each pass, [`simplify_cfg`],
+//! [`ssa::construct`] and [`ssa::destruct`] — shares one
+//! [`AnalysisCache`]: predecessors, reverse postorder and reachability,
+//! the dominator map, natural loops, dominance frontiers,
+//! [`mem::FnAddrs`] and [`AvailLoads`], each computed on first use. No
+//! pass derives an analysis itself. Most pass runs change nothing, so
+//! most queries are hits: in a quiet sweep every memory pass and
+//! [`licm`] share one address resolution, and [`load_pre`] reuses the
+//! availability dataflow [`cross_block_forward`] built.
+//!
+//! Each step reports a [`Changed`] class instead of a `bool`, and the
+//! manager applies it to the cache:
+//!
+//! | class | meaning | the cache keeps |
+//! |---|---|---|
+//! | [`Changed::Nothing`] | the function is untouched | everything |
+//! | [`Changed::Insts`] | instructions, φs or terminator operands changed; every successor list is intact | the CFG analyses (all but [`mem::FnAddrs`] and [`AvailLoads`]) |
+//! | [`Changed::Cfg`] | a successor list, the block count or the numbering changed | nothing |
+//!
+//! A pass that mutates and then queries again within one run — [`licm`]
+//! re-discovering loops after each hoist, [`fold_terminators`] threading
+//! one edge at a time — invalidates at the point of mutation. The
+//! [`crate::analysis`] module doc tables what each entry depends on.
+//!
+//! ```
+//! use occ::analysis::{AnalysisCache, Changed};
+//! use occ::mem::MemoryModel;
+//! use occ::mir::{Block, BlockId, Inst, MirFunction, Term, VReg};
+//! use occ::{opt, ssa};
+//!
+//! // v1 = 2; v2 = 3; v3 = v1 + v2; return v3
+//! let mut f = MirFunction {
+//!     name: "f".into(),
+//!     params: 0,
+//!     returns_value: true,
+//!     exported: true,
+//!     blocks: vec![Block {
+//!         insts: vec![
+//!             Inst::Const { dst: VReg(1), value: 2 },
+//!             Inst::Const { dst: VReg(2), value: 3 },
+//!             Inst::Bin { op: occ::mir::BinOp::Add, dst: VReg(3), lhs: VReg(1), rhs: VReg(2) },
+//!         ],
+//!         term: Term::Ret(Some(VReg(3))),
+//!     }],
+//!     next_vreg: 4,
+//! };
+//! let model = MemoryModel::default();
+//! let mut cache = AnalysisCache::new();
+//! let changed = ssa::construct(&mut f, &mut cache);
+//! cache.invalidate(changed);
+//! // Folding the add rewrites an instruction but no edge.
+//! let changed = opt::sccp(&mut f, &model, &mut cache);
+//! assert_eq!(changed, Changed::Insts);
+//! cache.invalidate(changed);
+//! // A second run finds nothing left to fold.
+//! assert_eq!(opt::sccp(&mut f, &model, &mut cache), Changed::Nothing);
+//! assert!(cache.stale(&f, &model).is_empty());
+//! ```
+//!
 //! Every pass records a [`PassStats`] entry — `runs`, `changes` (runs
 //! that rewrote something) and `insts_removed` — collected into the
 //! [`PipelineStats`] that [`crate::compile`] exposes on the artifact.
@@ -41,7 +102,7 @@
 //! | pass                    | `-O1` (2 rounds) | `-O2`/`-Os` (3 rounds) |
 //! |-------------------------|------------------|------------------------|
 //! | [`sccp`]                |                  | ✓                      |
-//! | [`constant_fold`]       | ✓                | ✓                      |
+//! | [`constant_fold`]       | ✓                |                        |
 //! | [`copy_propagate`]      |                  | ✓                      |
 //! | [`gvn_cse`]             |                  | ✓                      |
 //! | [`store_load_forward`]  | ✓                | ✓                      |
@@ -63,9 +124,10 @@
 //!
 //! # Per-pass contracts
 //!
-//! Every SSA pass has the signature [`SsaPass`] and receives the
+//! Every SSA pass has the signature [`SsaPass`]: it receives the
 //! [`mem::MemoryModel`] of the program it runs inside — the memory
-//! passes consult it for rodata facts; the others ignore it.
+//! passes consult it for rodata facts; the others ignore it — and the
+//! function's [`AnalysisCache`], and returns its [`Changed`] class.
 //!
 //! * [`sccp`] — sparse conditional constant propagation over the
 //!   ⊤/const/⊥ lattice with the Wegman–Zadeck two-worklist scheme:
@@ -74,8 +136,9 @@
 //!   removes never-executable blocks. Folds through branches the dense
 //!   fold must leave.
 //! * [`constant_fold`] — dense constant propagation/folding with branch
-//!   folding; residue cleanup behind SCCP at `-O2`+, the only constant
-//!   pass at `-O1`.
+//!   folding; the constant pass at `-O1`. [`sccp`] replaces it at
+//!   `-O2`/`-Os`: everything the dense fixpoint proves constant, SCCP
+//!   proves too.
 //! * [`copy_propagate`] — transitive copy propagation into uses.
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
 //!   subexpression elimination with commutative canonicalization; loads
@@ -133,10 +196,21 @@
 //! `OCC_VERIFY=each` knob (or [`PassManager::with_verify`]) escalates to
 //! per-pass verification that attributes a broken invariant to the pass
 //! and round that introduced it.
+//!
+//! Verify-each also checks every step's [`Changed`] report, since the
+//! cache trusts it. A step reporting [`Changed::Nothing`] must leave the
+//! function `==` to a clone taken before it. After every step, each
+//! analysis still cached is recomputed and compared with the cached copy
+//! ([`AnalysisCache::stale`]). A step that under-reports — say, a
+//! terminator retargeted under [`Changed::Insts`] — fails as a verifier
+//! error naming the step, the round and the stale entries, not as a
+//! miscompile three passes later.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
+use crate::analysis::{AnalysisCache, Changed};
 use crate::cfg;
 use crate::mem;
 use crate::mir::{BinOp, Block, BlockId, Inst, MirFunction, Program, Term, UnOp, VReg, Word};
@@ -298,11 +372,14 @@ impl PipelineStats {
 // The pass manager
 // ---------------------------------------------------------------------
 
-/// A function-local SSA pass: rewrites the function, returns `true` if
-/// anything changed. The [`mem::MemoryModel`] carries the program-wide
+/// A function-local SSA pass: rewrites the function and reports what it
+/// changed ([`Changed`]), which the manager applies to the function's
+/// [`AnalysisCache`]. The [`mem::MemoryModel`] carries the program-wide
 /// facts (global mutability) the memory passes consult; passes that do
-/// not reason about memory ignore it.
-pub type SsaPass = fn(&mut MirFunction, &mem::MemoryModel) -> bool;
+/// not reason about memory ignore it. Every analysis a pass needs comes
+/// from the cache; a pass that queries it again after mutating the
+/// function invalidates first.
+pub type SsaPass = fn(&mut MirFunction, &mem::MemoryModel, &mut AnalysisCache) -> Changed;
 
 /// How much of the [`crate::verify`] static checker the manager runs in
 /// debug builds (release builds compile all verification out, like the
@@ -390,15 +467,15 @@ impl PassManager {
                 // Extra outer rounds let φ-free CFG cleanup and the SSA
                 // passes feed each other; copy propagation erases the
                 // copies each construct/destruct round introduces. SCCP
-                // leads: it subsumes the dense fold and folds through
-                // branches it must leave, so the dense pass after it is
-                // cheap residue cleanup. The memory passes run after
-                // GVN/CSE (addresses are canonical by then) and before
-                // LICM, so forwarding eats block-local load redundancy
-                // first and LICM hoists only the loads that survive.
+                // leads and subsumes the dense fold (it folds everything
+                // the dense fixpoint proves, and through branches the
+                // dense pass must leave), so the dense fold is not
+                // registered here. The memory passes run after GVN/CSE
+                // (addresses are canonical by then) and before LICM, so
+                // forwarding eats block-local load redundancy first and
+                // LICM hoists only the loads that survive.
                 pm.outer_rounds = 3;
                 pm.register(pass::SCCP, sccp);
-                pm.register(pass::CONST_FOLD, constant_fold);
                 pm.register(pass::COPY_PROP, copy_propagate);
                 pm.register(pass::GVN_CSE, gvn_cse);
                 pm.register(pass::STORE_LOAD_FWD, store_load_forward);
@@ -449,22 +526,22 @@ impl PassManager {
             && self.verify.unwrap_or_else(VerifyMode::from_env) == VerifyMode::Each
     }
 
-    /// Debug-build verification hook: checks `f` at `tier` plus the
-    /// memory tier and panics with `ctx` (the pass/round blame) on the
-    /// first broken invariant.
-    fn verify_after(
-        &self,
-        f: &MirFunction,
-        model: &mem::MemoryModel,
+    /// [`FnRun::step`] for a registered pass, recording its
+    /// [`PassStats`]; `at` names the round for the blame.
+    fn run_pass(
+        &mut self,
+        run: &mut FnRun<'_>,
+        (name, p): (&'static str, SsaPass),
         tier: verify::Tier,
-        ctx: &str,
-    ) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let mut vs = verify::verify_function(f, tier);
-        vs.extend(verify::verify_memory(f, model));
-        assert!(vs.is_empty(), "MIR verifier: {ctx}:{}", verify::report(&vs));
+        at: impl FnOnce() -> String,
+    ) -> bool {
+        let before = run.f.inst_count();
+        let model = run.model;
+        let ctx = || format!("after {name} in {}", at());
+        let changed = run.step(Some(tier), ctx, |f, c| p(f, model, c));
+        let removed = before.saturating_sub(run.f.inst_count());
+        self.stats.record(name, changed.any(), removed);
+        changed.any()
     }
 
     /// Runs every function of `program` through
@@ -481,55 +558,49 @@ impl PassManager {
     /// simplification around an SSA fixed point, then a final cleanup.
     /// `model` carries the program-wide memory facts the memory passes
     /// consult (pass [`mem::MemoryModel::default`] for a bare function).
-    /// Returns `true` if anything changed.
+    /// Every step shares one [`AnalysisCache`] for the function, so an
+    /// analysis is computed once per function state. Returns `true` if
+    /// anything changed.
     pub fn run_function(&mut self, f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-        let verify_each = self.verify_each();
+        let simplify: (&'static str, SsaPass) = (pass::SIMPLIFY_CFG, |f, _, c| simplify_cfg(f, c));
+        let mut run = FnRun {
+            f,
+            model,
+            cache: AnalysisCache::new(),
+            verify_each: self.verify_each(),
+        };
         let mut any = false;
         for round in 1..=self.outer_rounds {
-            any |= self.simplify(f);
-            if verify_each {
-                let ctx = format!("after {} in round {round}", pass::SIMPLIFY_CFG);
-                self.verify_after(f, model, verify::Tier::PhiFree, &ctx);
-            }
+            let label = || format!("round {round}");
+            any |= self.run_pass(&mut run, simplify, verify::Tier::PhiFree, label);
             if self.ssa_passes.is_empty() && self.post_passes.is_empty() {
                 break;
             }
             let mut ssa_changed = false;
             if !self.ssa_passes.is_empty() {
-                ssa::construct(f);
-                ssa_changed = self.ssa_fixpoint(f, model, round, verify_each);
-                ssa::destruct(f);
+                let ctx = || format!("after ssa::construct in round {round}");
+                run.step(None, ctx, ssa::construct);
+                ssa_changed = self.ssa_fixpoint(&mut run, round);
+                let ctx = || format!("after ssa::destruct in round {round}");
+                run.step(None, ctx, |f, _| ssa::destruct(f));
             }
             // φ-free post passes see destruct's copy residue; they are
             // cleanup, so they do not drive another outer round on
             // their own.
             for i in 0..self.post_passes.len() {
-                let (name, p) = self.post_passes[i];
-                let before = f.inst_count();
-                let changed = p(f, model);
-                let removed = before.saturating_sub(f.inst_count());
-                self.stats.record(name, changed, removed);
-                any |= changed;
-                if verify_each {
-                    let ctx = format!("after {name} in round {round}");
-                    self.verify_after(f, model, verify::Tier::PhiFree, &ctx);
-                }
+                any |= self.run_pass(&mut run, self.post_passes[i], verify::Tier::PhiFree, label);
             }
             any |= ssa_changed;
             if !ssa_changed {
                 break;
             }
         }
-        any |= self.simplify(f);
+        let label = || "the final cleanup".to_string();
+        any |= self.run_pass(&mut run, simplify, verify::Tier::PhiFree, label);
         // Post-pipeline boundary: whatever the mode, the function handed
         // to the backend must be φ-free, structurally sound, and inside
         // the memory contract.
-        self.verify_after(
-            f,
-            model,
-            verify::Tier::PhiFree,
-            "after the mid-end pipeline",
-        );
+        run.verify(verify::Tier::PhiFree, "after the mid-end pipeline");
         any
     }
 
@@ -561,35 +632,13 @@ impl PassManager {
         self.stats
     }
 
-    fn simplify(&mut self, f: &mut MirFunction) -> bool {
-        let before = f.inst_count();
-        let changed = simplify_cfg(f);
-        let removed = before.saturating_sub(f.inst_count());
-        self.stats.record(pass::SIMPLIFY_CFG, changed, removed);
-        changed
-    }
-
-    fn ssa_fixpoint(
-        &mut self,
-        f: &mut MirFunction,
-        model: &mem::MemoryModel,
-        outer_round: usize,
-        verify_each: bool,
-    ) -> bool {
+    fn ssa_fixpoint(&mut self, run: &mut FnRun<'_>, outer_round: usize) -> bool {
         let mut any = false;
         for sweep in 1..=Self::MAX_SSA_ROUNDS {
             let mut round_changed = false;
             for i in 0..self.ssa_passes.len() {
-                let (name, p) = self.ssa_passes[i];
-                let before = f.inst_count();
-                let changed = p(f, model);
-                let removed = before.saturating_sub(f.inst_count());
-                self.stats.record(name, changed, removed);
-                round_changed |= changed;
-                if verify_each {
-                    let ctx = format!("after {name} in round {outer_round}.{sweep}");
-                    self.verify_after(f, model, verify::Tier::Ssa, &ctx);
-                }
+                let label = || format!("round {outer_round}.{sweep}");
+                round_changed |= self.run_pass(run, self.ssa_passes[i], verify::Tier::Ssa, label);
             }
             if !round_changed {
                 break;
@@ -597,6 +646,67 @@ impl PassManager {
             any = true;
         }
         any
+    }
+}
+
+/// The state one [`PassManager::run_function`] call threads through its
+/// steps: the function, its memory model and analysis cache, and whether
+/// verify-each is on.
+struct FnRun<'a> {
+    f: &'a mut MirFunction,
+    model: &'a mem::MemoryModel,
+    cache: AnalysisCache,
+    verify_each: bool,
+}
+
+impl FnRun<'_> {
+    /// Debug-build verification hook: checks the function at `tier` plus
+    /// the memory tier and panics with `ctx` (the pass/round blame) on
+    /// the first broken invariant.
+    fn verify(&self, tier: verify::Tier, ctx: &str) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut vs = verify::verify_function(self.f, tier);
+        vs.extend(verify::verify_memory(self.f, self.model));
+        assert!(vs.is_empty(), "MIR verifier: {ctx}:{}", verify::report(&vs));
+    }
+
+    /// Runs one pipeline step and applies the [`Changed`] class it
+    /// reports to the cache. Under verify-each (debug builds) the step is
+    /// then checked at `tier` (when given), and its report against what
+    /// it did: a step reporting [`Changed::Nothing`] must leave the
+    /// function equal to its state before, and every analysis still
+    /// cached must equal a fresh computation. `ctx` names the step and
+    /// round for the blame.
+    fn step(
+        &mut self,
+        tier: Option<verify::Tier>,
+        ctx: impl FnOnce() -> String,
+        step: impl FnOnce(&mut MirFunction, &mut AnalysisCache) -> Changed,
+    ) -> Changed {
+        let before = self.verify_each.then(|| self.f.clone());
+        let changed = step(self.f, &mut self.cache);
+        self.cache.invalidate(changed);
+        if let Some(before) = before {
+            let ctx = ctx();
+            if let Some(tier) = tier {
+                self.verify(tier, &ctx);
+            }
+            let f = &*self.f;
+            assert!(
+                changed.any() || *f == before,
+                "MIR verifier: {ctx}: reported no change but rewrote the function:\n{f}"
+            );
+            let stale = self.cache.stale(f, self.model);
+            assert!(
+                stale.is_empty(),
+                "MIR verifier: {ctx}: stale analysis cache ({}) after a reported \
+                 {changed:?} change:\n{f}",
+                stale.join(", ")
+            );
+        }
+        changed
     }
 }
 
@@ -665,9 +775,13 @@ fn run_pipeline_impl(
 // Constant propagation + folding + branch folding (on SSA)
 // ---------------------------------------------------------------------
 
-/// Propagates and folds constants; folds constant branches. Returns `true`
-/// if anything changed.
-pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+/// Propagates and folds constants; folds constant branches (a CFG
+/// change).
+pub fn constant_fold(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
     let mut known: BTreeMap<VReg, i32> = BTreeMap::new();
     let mut changed = false;
     // SSA: each def has one value; iterate to a fixpoint to flow through
@@ -763,10 +877,12 @@ pub fn constant_fold(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
     // old arms' targets; prune them (and fold now-trivial φs) so the SSA
     // invariants hold after this pass just like after `sccp`.
     if folded_branch {
-        ssa::remove_unreachable_blocks(f);
-        prune_phi_args(f);
+        cache.invalidate(Changed::Cfg);
+        ssa::remove_unreachable_blocks(f, cache);
+        prune_phi_args(f, cache);
+        return Changed::Cfg;
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -964,8 +1080,7 @@ impl SccpState<'_> {
 /// proven scrutinee become `Goto`s (subsuming most of what
 /// [`fold_terminators`] would clean up afterwards), never-executable
 /// blocks are removed, and φ-arguments of dropped edges are pruned.
-/// Returns `true` if anything changed.
-pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut AnalysisCache) -> Changed {
     // Use lists, so lattice drops re-queue exactly the affected users.
     let mut inst_users: BTreeMap<VReg, Vec<(BlockId, usize)>> = BTreeMap::new();
     let mut term_users: BTreeMap<VReg, Vec<BlockId>> = BTreeMap::new();
@@ -1000,6 +1115,7 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 
     // Rewrite phase: executable blocks only; the rest are removed below.
     let mut changed = false;
+    let mut folded_term = false;
     for &b in &exec_block {
         let blk = f.block_mut(b);
         for inst in &mut blk.insts {
@@ -1021,6 +1137,7 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                 if let Some(Lattice::Const(c)) = values.get(cond) {
                     blk.term = Term::Goto(if *c != 0 { *then_block } else { *else_block });
                     changed = true;
+                    folded_term = true;
                 }
             }
             Term::Switch {
@@ -1036,16 +1153,26 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
                         .unwrap_or(*default);
                     blk.term = Term::Goto(target);
                     changed = true;
+                    folded_term = true;
                 }
             }
             _ => {}
         }
     }
-    if changed {
-        ssa::remove_unreachable_blocks(f);
-        prune_phi_args(f);
+    if !changed {
+        return Changed::Nothing;
     }
-    changed
+    let mut class = if folded_term {
+        Changed::Cfg
+    } else {
+        Changed::Insts
+    };
+    cache.invalidate(class);
+    if ssa::remove_unreachable_blocks(f, cache) {
+        class = Changed::Cfg;
+    }
+    prune_phi_args(f, cache);
+    class
 }
 
 /// Drops φ-arguments whose predecessor edge no longer exists (after a
@@ -1055,8 +1182,8 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 /// `(pred, block)` edge. Blocks left with a single predecessor have
 /// their φs folded to copies ([`ssa::fold_trivial_phis`]), preserving
 /// the verifier's φ-join discipline.
-fn prune_phi_args(f: &mut MirFunction) {
-    let preds = cfg::predecessors(f);
+fn prune_phi_args(f: &mut MirFunction, cache: &mut AnalysisCache) {
+    let preds = cache.preds(f);
     for b in f.block_ids().collect::<Vec<_>>() {
         let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
         for inst in &mut f.block_mut(b).insts {
@@ -1066,7 +1193,7 @@ fn prune_phi_args(f: &mut MirFunction) {
             }
         }
     }
-    ssa::fold_trivial_phis(f);
+    ssa::fold_trivial_phis(f, cache);
 }
 
 // ---------------------------------------------------------------------
@@ -1074,7 +1201,11 @@ fn prune_phi_args(f: &mut MirFunction) {
 // ---------------------------------------------------------------------
 
 /// Replaces uses of copies with their (transitively resolved) sources.
-pub fn copy_propagate(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn copy_propagate(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    _cache: &mut AnalysisCache,
+) -> Changed {
     let mut alias: BTreeMap<VReg, VReg> = BTreeMap::new();
     for b in f.block_ids().collect::<Vec<_>>() {
         for inst in &f.block(b).insts {
@@ -1084,7 +1215,7 @@ pub fn copy_propagate(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
         }
     }
     if alias.is_empty() {
-        return false;
+        return Changed::Nothing;
     }
     let resolve = |mut v: VReg| {
         let mut hops = 0;
@@ -1117,7 +1248,7 @@ pub fn copy_propagate(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
             r
         });
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -1126,8 +1257,8 @@ pub fn copy_propagate(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 
 /// A value-number key for a pure, memory-free computation. `Const` is
 /// deliberately absent: re-materializing an immediate is as cheap as a
-/// copy, and CSE-ing constants would ping-pong with [`constant_fold`]
-/// (which rewrites known-value copies back into constants).
+/// copy, and CSE-ing constants would ping-pong with [`sccp`] (which
+/// rewrites known-value copies back into constants).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum GvnKey {
     Un(UnOp, VReg),
@@ -1144,10 +1275,13 @@ enum GvnKey {
 /// value leaders (and by operand order for commutative operators), so
 /// second-order redundancies fall in one sweep. Loads are deliberately
 /// not value-numbered — block-local load redundancy is
-/// [`store_load_forward`]'s job, which tracks clobbers. Returns `true`
-/// if anything changed.
-pub fn gvn_cse(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let idom = cfg::dominators(f);
+/// [`store_load_forward`]'s job, which tracks clobbers.
+pub fn gvn_cse(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
+    let idom = cache.dominators(f);
     let children = cfg::dominator_tree_children(&idom);
     let mut table: BTreeMap<GvnKey, VReg> = BTreeMap::new();
     let mut leader: BTreeMap<VReg, VReg> = BTreeMap::new();
@@ -1160,7 +1294,7 @@ pub fn gvn_cse(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
         &mut leader,
         &mut changed,
     );
-    changed
+    Changed::insts_if(changed)
 }
 
 fn gvn_leader(leader: &BTreeMap<VReg, VReg>, v: VReg) -> VReg {
@@ -1239,13 +1373,17 @@ fn gvn_walk(
 /// a `const` global); `CallExtern` invalidates nothing (the EM32 `Ecall`
 /// passes registers only). This is the pass that shrinks the
 /// load-global → test → store-global context traffic every generated
-/// handler emits. Returns `true` if anything changed.
+/// handler emits.
 ///
 /// Sound on any form: multiply-defined registers resolve to
 /// [`mem::AddrInfo::Unknown`], and a redefinition of a tracked value
 /// register drops its cells, so non-SSA input merely loses precision.
-pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let addrs = mem::FnAddrs::analyze(f);
+pub fn store_load_forward(
+    f: &mut MirFunction,
+    model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
+    let addrs = cache.fn_addrs(f);
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         // (global, offset) -> register holding that cell's content here.
@@ -1292,7 +1430,7 @@ pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool
             }
         }
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -1306,10 +1444,13 @@ pub fn store_load_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool
 /// before any read: a store inserts its cell (or dies against it), a
 /// read removes what it may alias (a call may read everything; an extern
 /// cannot read memory at all), and the set starts empty at the block end
-/// because memory is live across blocks and calls. Returns `true` if
-/// anything changed.
-pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
-    let addrs = mem::FnAddrs::analyze(f);
+/// because memory is live across blocks and calls.
+pub fn dead_store_elim(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
+    let addrs = cache.fn_addrs(f);
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let blk = f.block_mut(b);
@@ -1346,7 +1487,7 @@ pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
         kept_rev.reverse();
         blk.insts = kept_rev;
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -1358,7 +1499,7 @@ pub fn dead_store_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 /// every path from the entry, the cell was last written or read with no
 /// intervening clobber — on block entry and exit, plus the per-block
 /// [`mem::BlockCells`] transfer summaries the sets were computed from.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvailLoads {
     universe: BTreeSet<mem::Cell>,
     effects: Vec<mem::BlockCells>,
@@ -1411,12 +1552,21 @@ impl AvailLoads {
 /// explicit "the body writes this, kill it" rule, which makes the common
 /// reducible case converge in a single sweep (the fixed point covers
 /// irreducible shapes the loop forest cannot describe).
-pub fn avail_loads(f: &MirFunction, model: &mem::MemoryModel, addrs: &mem::FnAddrs) -> AvailLoads {
+///
+/// Computes afresh, reading address resolution and the CFG analyses from
+/// `cache`; [`AnalysisCache::avail_loads`] is the memoized form passes
+/// use.
+pub fn avail_loads(
+    f: &MirFunction,
+    model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> AvailLoads {
     let n = f.blocks.len();
-    let universe = mem::cell_universe(f, addrs);
+    let addrs = cache.fn_addrs(f);
+    let universe = mem::cell_universe(f, &addrs);
     let effects: Vec<mem::BlockCells> = f
         .block_ids()
-        .map(|b| mem::BlockCells::summarize(f, b, &universe, addrs, model))
+        .map(|b| mem::BlockCells::summarize(f, b, &universe, &addrs, model))
         .collect();
     let mut avail = AvailLoads {
         universe,
@@ -1427,21 +1577,22 @@ pub fn avail_loads(f: &MirFunction, model: &mem::MemoryModel, addrs: &mem::FnAdd
     if avail.universe.is_empty() {
         return avail;
     }
-    let rpo = cfg::reverse_postorder(f);
-    let reachable: BTreeSet<BlockId> = rpo.iter().copied().collect();
-    let preds = cfg::predecessors(f);
-    let header_clobbers: BTreeMap<BlockId, mem::LoopClobbers> = cfg::natural_loops(f)
+    let rpo = cache.rpo(f);
+    let reachable = cache.reachable(f);
+    let preds = cache.preds(f);
+    let header_clobbers: BTreeMap<BlockId, mem::LoopClobbers> = cache
+        .loops(f)
         .iter()
-        .map(|lp| (lp.header, mem::LoopClobbers::summarize(f, &lp.body, addrs)))
+        .map(|lp| (lp.header, mem::LoopClobbers::summarize(f, &lp.body, &addrs)))
         .collect();
-    for &b in &rpo {
+    for &b in rpo.iter() {
         if b != BlockId(0) {
             avail.avail_out[b.0 as usize] = avail.universe.clone();
         }
     }
     loop {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo.iter() {
             let mut in_set = BTreeSet::new();
             if b != BlockId(0) {
                 let ps: BTreeSet<BlockId> = preds[b.0 as usize]
@@ -1555,30 +1706,35 @@ impl LoadResolver<'_> {
 
 /// The shared analysis prologue of the two cross-block passes: address
 /// resolution, the availability dataflow, dominators and the
-/// dominance-ordered reachable-block walk. One constructor keeps both
-/// passes' view of the CFG identical by construction.
+/// dominance-ordered reachable-block walk, all read from the
+/// [`AnalysisCache`] — so [`load_pre`] reuses what
+/// [`cross_block_forward`] derived whenever the latter changed nothing.
 struct CrossBlockCtx {
-    addrs: mem::FnAddrs,
-    avail: AvailLoads,
-    idom: BTreeMap<BlockId, BlockId>,
+    addrs: Rc<mem::FnAddrs>,
+    avail: Rc<AvailLoads>,
+    idom: Rc<BTreeMap<BlockId, BlockId>>,
     order: Vec<BlockId>,
-    preds: Vec<Vec<BlockId>>,
-    reachable: BTreeSet<BlockId>,
+    preds: Rc<Vec<Vec<BlockId>>>,
+    reachable: Rc<BTreeSet<BlockId>>,
 }
 
 impl CrossBlockCtx {
     /// `None` when the function touches no exactly addressed cell —
     /// neither pass has anything to do then.
-    fn analyze(f: &MirFunction, model: &mem::MemoryModel) -> Option<CrossBlockCtx> {
-        let addrs = mem::FnAddrs::analyze(f);
-        let avail = avail_loads(f, model, &addrs);
+    fn analyze(
+        f: &MirFunction,
+        model: &mem::MemoryModel,
+        cache: &mut AnalysisCache,
+    ) -> Option<CrossBlockCtx> {
+        let avail = cache.avail_loads(f, model);
         if avail.universe().is_empty() {
             return None;
         }
-        let idom = cfg::dominators(f);
+        let addrs = cache.fn_addrs(f);
+        let idom = cache.dominators(f);
         let order = cfg::dominator_preorder(&idom);
-        let preds = cfg::predecessors(f);
-        let reachable = order.iter().copied().collect();
+        let preds = cache.preds(f);
+        let reachable = cache.reachable(f);
         Some(CrossBlockCtx {
             addrs,
             avail,
@@ -1717,10 +1873,14 @@ impl LoadEdits {
 /// because its handlers re-load the same context cells *across* block
 /// boundaries. Deleting the loads here (rather than leaving copies)
 /// makes the pass's `insts_removed` stat the direct count of loads
-/// eliminated. Returns `true` if anything changed.
-pub fn cross_block_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model) else {
-        return false;
+/// eliminated.
+pub fn cross_block_forward(
+    f: &mut MirFunction,
+    model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
+    let Some(ctx) = CrossBlockCtx::analyze(f, model, cache) else {
+        return Changed::Nothing;
     };
     let mut resolver = ctx.resolver();
     let mut edits = LoadEdits::default();
@@ -1753,9 +1913,9 @@ pub fn cross_block_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> boo
         }
     }
     if edits.delete.is_empty() {
-        return false;
+        return Changed::Nothing;
     }
-    edits.apply(f, resolver.phis)
+    Changed::insts_if(edits.apply(f, resolver.phis))
 }
 
 /// Load partial-redundancy elimination for diamond joins, on SSA. Where
@@ -1773,10 +1933,15 @@ pub fn cross_block_forward(f: &mut MirFunction, model: &mem::MemoryModel) -> boo
 /// never reach the join. That is licensed by the rooted-loads-never-fault
 /// rule of [`crate::mem`] — the cell is exactly addressed, so the
 /// address stays inside the VM's data image and the extra load can only
-/// cost time, never behaviour. Returns `true` if anything changed.
-pub fn load_pre(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model) else {
-        return false;
+/// cost time, never behaviour. Appending to the lacking predecessor keeps
+/// its terminator, so the CFG is unchanged.
+pub fn load_pre(
+    f: &mut MirFunction,
+    model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
+    let Some(ctx) = CrossBlockCtx::analyze(f, model, cache) else {
+        return Changed::Nothing;
     };
     let mut resolver = ctx.resolver();
     let mut edits = LoadEdits::default();
@@ -1849,9 +2014,9 @@ pub fn load_pre(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
         }
     }
     if edits.delete.is_empty() {
-        return false;
+        return Changed::Nothing;
     }
-    edits.apply(f, resolver.phis)
+    Changed::insts_if(edits.apply(f, resolver.phis))
 }
 
 // ---------------------------------------------------------------------
@@ -1875,31 +2040,34 @@ pub fn load_pre(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
 /// STT dispatch loops, whose rodata rule tables survive even the guard
 /// and effect calls in the body. The state-machine dispatch loops of the
 /// STT pattern — invariant table-address arithmetic recomputed every
-/// iteration — are the designed beneficiary. Returns `true` if anything
-/// changed.
-pub fn licm(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let mut changed = false;
+/// iteration — are the designed beneficiary. Inserting a preheader is a
+/// CFG change; hoisting into an existing one is not.
+pub fn licm(f: &mut MirFunction, model: &mem::MemoryModel, cache: &mut AnalysisCache) -> Changed {
+    let mut changed = Changed::Nothing;
     // One loop is transformed per step and loops are re-discovered, so
     // body sets stay exact after each preheader insertion. Terminates
     // because every step moves ≥1 instruction strictly outward; the
     // bound is defensive.
     for _ in 0..1000 {
-        if !licm_step(f, model) {
+        let step = licm_step(f, model, cache);
+        if !step.any() {
             break;
         }
-        changed = true;
+        changed = changed.max(step);
     }
     changed
 }
 
-/// Hoists out of the first (innermost) loop with invariant work.
-fn licm_step(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
-    let loops = cfg::natural_loops(f);
+/// Hoists out of the first (innermost) loop with invariant work. Each
+/// mutation invalidates `cache` as it happens, so the next step
+/// re-discovers loops and addresses on the new function state.
+fn licm_step(f: &mut MirFunction, model: &mem::MemoryModel, cache: &mut AnalysisCache) -> Changed {
+    let loops = cache.loops(f);
     if loops.is_empty() {
-        return false; // loop-free: skip the address analysis entirely
+        return Changed::Nothing; // loop-free: skip the address analysis entirely
     }
-    let addrs = mem::FnAddrs::analyze(f);
-    for lp in &loops {
+    let addrs = cache.fn_addrs(f);
+    for lp in loops.iter() {
         if lp.header == BlockId(0) {
             // A back edge onto the entry block has no spot for a
             // preheader (entry must stay block 0); lowering never emits
@@ -1910,13 +2078,20 @@ fn licm_step(f: &mut MirFunction, model: &mem::MemoryModel) -> bool {
         if hoist.is_empty() {
             continue;
         }
-        let Some(pre) = ensure_preheader(f, lp) else {
+        let Some((pre, inserted)) = ensure_preheader(f, lp, cache) else {
             continue;
         };
-        hoist_insts(f, lp, pre, &hoist);
-        return true;
+        let class = if inserted {
+            Changed::Cfg
+        } else {
+            Changed::Insts
+        };
+        cache.invalidate(class);
+        hoist_insts(f, lp, pre, &hoist, cache);
+        cache.invalidate(Changed::Insts);
+        return class;
     }
-    false
+    Changed::Nothing
 }
 
 /// The set of loop-defined registers whose defining instructions should
@@ -2018,16 +2193,20 @@ fn invariant_defs(
 }
 
 /// Returns a block that dominates the loop header and is executed
-/// exactly on entry to the loop: the unique outside predecessor if it
-/// already forwards straight to the header, otherwise a freshly inserted
-/// preheader. Insertion rewires every outside edge and collapses the
-/// outside arguments of each header φ into a single argument through the
-/// preheader (inserting a merge φ in the preheader when several distinct
-/// outside predecessors join) — the φ- and SSA-safety the tentpole
-/// requires.
-fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockId> {
+/// exactly on entry to the loop, and whether it was inserted: the unique
+/// outside predecessor if it already forwards straight to the header,
+/// otherwise a freshly inserted preheader. Insertion rewires every
+/// outside edge and collapses the outside arguments of each header φ
+/// into a single argument through the preheader (inserting a merge φ in
+/// the preheader when several distinct outside predecessors join) — the
+/// φ- and SSA-safety loop-invariant code motion requires.
+fn ensure_preheader(
+    f: &mut MirFunction,
+    lp: &cfg::NaturalLoop,
+    cache: &mut AnalysisCache,
+) -> Option<(BlockId, bool)> {
     let h = lp.header;
-    let preds = cfg::predecessors(f);
+    let preds = cache.preds(f);
     let outside: BTreeSet<BlockId> = preds[h.0 as usize]
         .iter()
         .copied()
@@ -2039,7 +2218,7 @@ fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockI
     if outside.len() == 1 {
         let p = *outside.iter().next().expect("one element");
         if f.block(p).term.succs() == vec![h] {
-            return Some(p); // already a dedicated preheader
+            return Some((p, false)); // already a dedicated preheader
         }
     }
     let pre = BlockId(f.blocks.len() as u32);
@@ -2085,16 +2264,24 @@ fn ensure_preheader(f: &mut MirFunction, lp: &cfg::NaturalLoop) -> Option<BlockI
             .term
             .map_succs(&mut |s| if s == h { pre } else { s });
     }
-    Some(pre)
+    Some((pre, true))
 }
 
 /// Moves the instructions defining `hoist` from the loop body to the end
 /// of `pre`, in reverse postorder so definitions keep preceding uses
 /// (an operand's definition dominates its use, and dominators precede
 /// dominated blocks in reverse postorder).
-fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: &BTreeSet<VReg>) {
-    let order: Vec<BlockId> = cfg::reverse_postorder(f)
-        .into_iter()
+fn hoist_insts(
+    f: &mut MirFunction,
+    lp: &cfg::NaturalLoop,
+    pre: BlockId,
+    hoist: &BTreeSet<VReg>,
+    cache: &mut AnalysisCache,
+) {
+    let order: Vec<BlockId> = cache
+        .rpo(f)
+        .iter()
+        .copied()
         .filter(|b| lp.contains(*b))
         .collect();
     let mut moved: Vec<Inst> = Vec::new();
@@ -2129,9 +2316,13 @@ fn hoist_insts(f: &mut MirFunction, lp: &cfg::NaturalLoop, pre: BlockId, hoist: 
 ///   value (SSA-safe jump threading).
 ///
 /// φ-arguments of blocks that lose duplicate incoming edges are
-/// deduplicated, and blocks made unreachable are removed. Returns `true`
-/// if anything changed.
-pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+/// deduplicated, and blocks made unreachable are removed. Every rewrite
+/// here is a CFG change.
+pub fn fold_terminators(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
     let mut changed = false;
 
     // 1. Collapse redundant multi-way terminators.
@@ -2167,8 +2358,9 @@ pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool 
     // 2. Thread edges through empty forwarding blocks. One retarget per
     // search so predecessor lists stay fresh; chains converge within the
     // loop.
+    cache.invalidate(Changed::cfg_if(changed));
     loop {
-        let preds = cfg::predecessors(f);
+        let preds = cache.preds(f);
         let mut acted = false;
         'search: for s in f.block_ids().collect::<Vec<_>>() {
             if s == BlockId(0) || !f.block(s).insts.is_empty() {
@@ -2222,6 +2414,7 @@ pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool 
                     .term
                     .map_succs(&mut |x| if x == s { t } else { x });
             }
+            cache.invalidate(Changed::Cfg);
             break;
         }
         if !acted {
@@ -2230,10 +2423,10 @@ pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool 
     }
 
     if changed {
-        dedup_phi_args(f);
-        ssa::remove_unreachable_blocks(f);
+        dedup_phi_args(f, cache);
+        ssa::remove_unreachable_blocks(f, cache);
     }
-    changed
+    Changed::cfg_if(changed)
 }
 
 /// Removes duplicate φ-arguments for the same predecessor. Duplicate
@@ -2243,8 +2436,8 @@ pub fn fold_terminators(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool 
 /// arguments for edges the fold removed outright and folds φs of blocks
 /// down to one predecessor, keeping the verifier's φ/predecessor
 /// agreement and join discipline intact.
-fn dedup_phi_args(f: &mut MirFunction) {
-    let preds = cfg::predecessors(f);
+fn dedup_phi_args(f: &mut MirFunction, cache: &mut AnalysisCache) {
+    let preds = cache.preds(f);
     for b in f.block_ids().collect::<Vec<_>>() {
         let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
         for inst in &mut f.block_mut(b).insts {
@@ -2254,7 +2447,7 @@ fn dedup_phi_args(f: &mut MirFunction) {
             }
         }
     }
-    ssa::fold_trivial_phis(f);
+    ssa::fold_trivial_phis(f, cache);
 }
 
 // ---------------------------------------------------------------------
@@ -2272,7 +2465,11 @@ fn dedup_phi_args(f: &mut MirFunction) {
 /// code elimination" dump: it cannot remove state-machine handler bodies
 /// because they are reached through stores, calls and address-taken
 /// tables.
-pub fn dead_code_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn dead_code_elim(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    _cache: &mut AnalysisCache,
+) -> Changed {
     // Operand lists of pure definitions; everything read by an impure
     // instruction or a terminator is a root.
     let mut pure_uses: BTreeMap<VReg, Vec<VReg>> = BTreeMap::new();
@@ -2302,7 +2499,7 @@ pub fn dead_code_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
             .retain(|inst| !inst.is_pure() || inst.def().is_none_or(|d| live.contains(&d)));
         changed |= blk.insts.len() != before;
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -2321,9 +2518,11 @@ pub fn dead_code_elim(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 ///    `dst = dst` copies — correctly handling destruct's swap sequences;
 /// 2. removes copies whose destination is dead, using [`cfg::liveness`]
 ///    across blocks.
-///
-/// Returns `true` if anything changed.
-pub fn coalesce_copies(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn coalesce_copies(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    _cache: &mut AnalysisCache,
+) -> Changed {
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let mut avail: BTreeMap<VReg, VReg> = BTreeMap::new();
@@ -2400,7 +2599,7 @@ pub fn coalesce_copies(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
         kept_rev.reverse();
         blk.insts = kept_rev;
     }
-    changed
+    Changed::insts_if(changed)
 }
 
 // ---------------------------------------------------------------------
@@ -2414,12 +2613,16 @@ pub fn coalesce_copies(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
 /// successor-φ reasoning. Blocks compare equal up to renaming of their
 /// *block-local* definitions (a fresh register materialized and returned
 /// is the same code whatever its number); registers live into the block
-/// must match exactly. Returns `true` if anything changed.
+/// must match exactly. Redirecting edges is a CFG change.
 ///
 /// This is what pays for [`licm`]'s register pressure in the size
 /// ledger: the STT dispatch functions all carry two `return false`
 /// blocks (loop exhausted / no transition fired) that merge here.
-pub fn merge_return_blocks(f: &mut MirFunction, _model: &mem::MemoryModel) -> bool {
+pub fn merge_return_blocks(
+    f: &mut MirFunction,
+    _model: &mem::MemoryModel,
+    cache: &mut AnalysisCache,
+) -> Changed {
     let mut groups: BTreeMap<String, Vec<BlockId>> = BTreeMap::new();
     for b in f.block_ids() {
         if b == BlockId(0) {
@@ -2467,15 +2670,16 @@ pub fn merge_return_blocks(f: &mut MirFunction, _model: &mem::MemoryModel) -> bo
         }
     }
     if redirect.is_empty() {
-        return false;
+        return Changed::Nothing;
     }
     for b in f.block_ids().collect::<Vec<_>>() {
         f.block_mut(b)
             .term
             .map_succs(&mut |s| redirect.get(&s).copied().unwrap_or(s));
     }
-    ssa::remove_unreachable_blocks(f);
-    true
+    cache.invalidate(Changed::Cfg);
+    ssa::remove_unreachable_blocks(f, cache);
+    Changed::Cfg
 }
 
 // ---------------------------------------------------------------------
@@ -2484,13 +2688,11 @@ pub fn merge_return_blocks(f: &mut MirFunction, _model: &mem::MemoryModel) -> bo
 
 /// Removes unreachable blocks, threads empty forwarding blocks and merges
 /// every eligible straight-line chain in one sweep. Must run on φ-free
-/// functions. Returns `true` if anything changed.
-pub fn simplify_cfg(f: &mut MirFunction) -> bool {
+/// functions. Every rewrite here is a CFG change.
+pub fn simplify_cfg(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
     let mut any = false;
     loop {
-        let blocks_before = f.blocks.len();
-        ssa::remove_unreachable_blocks(f);
-        let mut changed = f.blocks.len() != blocks_before;
+        let mut changed = ssa::remove_unreachable_blocks(f, cache);
 
         // Thread jumps through empty forwarding blocks.
         let mut forward: BTreeMap<BlockId, BlockId> = BTreeMap::new();
@@ -2508,6 +2710,7 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
             }
         }
         if !forward.is_empty() {
+            let mut threaded = false;
             let resolve = |mut b: BlockId| {
                 let mut hops = 0;
                 while let Some(&n) = forward.get(&b) {
@@ -2524,12 +2727,14 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
                 term.map_succs(&mut |s| {
                     let r = resolve(s);
                     if r != s {
-                        changed = true;
+                        threaded = true;
                     }
                     r
                 });
                 f.block_mut(b).term = term;
             }
+            cache.invalidate(Changed::cfg_if(threaded));
+            changed |= threaded;
         }
 
         // Merge b <- c when c is b's unique successor and b its unique
@@ -2538,7 +2743,7 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
         // at the top of the next round; predecessor *counts* stay valid
         // throughout the sweep because merging only moves an edge's
         // origin, never adds or removes edges.
-        let preds = cfg::predecessors(f);
+        let preds = cache.preds(f);
         let mut consumed: BTreeSet<BlockId> = BTreeSet::new();
         for b in f.block_ids().collect::<Vec<_>>() {
             if consumed.contains(&b) {
@@ -2558,13 +2763,14 @@ pub fn simplify_cfg(f: &mut MirFunction) -> bool {
                 blk.insts.append(&mut tail);
                 blk.term = tail_term;
                 consumed.insert(c);
-                changed = true;
             }
         }
+        cache.invalidate(Changed::cfg_if(!consumed.is_empty()));
+        changed |= !consumed.is_empty();
 
         if !changed {
-            ssa::remove_unreachable_blocks(f);
-            return any;
+            ssa::remove_unreachable_blocks(f, cache);
+            return Changed::cfg_if(any);
         }
         any = true;
     }
@@ -2781,11 +2987,11 @@ mod tests {
     #[test]
     fn constant_folding_collapses_math() {
         let mut f = const_add_fn();
-        ssa::construct(&mut f);
-        assert!(constant_fold(&mut f, &md()));
-        dead_code_elim(&mut f, &md());
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(constant_fold(&mut f, &md(), &mut AnalysisCache::new()).any());
+        dead_code_elim(&mut f, &md(), &mut AnalysisCache::new());
         ssa::destruct(&mut f);
-        simplify_cfg(&mut f);
+        simplify_cfg(&mut f, &mut AnalysisCache::new());
         // One Const remains, feeding the return.
         let consts: Vec<i32> = f.blocks[0]
             .insts
@@ -2847,7 +3053,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(constant_fold(&mut f, &md()));
+        assert!(constant_fold(&mut f, &md(), &mut AnalysisCache::new()).any());
         let vs = verify::verify_function(&f, verify::Tier::Ssa);
         assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
         // The single-pred join must not keep a φ at all.
@@ -2896,10 +3102,10 @@ mod tests {
             ],
             next_vreg: 3,
         };
-        ssa::construct(&mut f);
-        constant_fold(&mut f, &md());
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        constant_fold(&mut f, &md(), &mut AnalysisCache::new());
         ssa::destruct(&mut f);
-        simplify_cfg(&mut f);
+        simplify_cfg(&mut f, &mut AnalysisCache::new());
         assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
     }
 
@@ -2934,7 +3140,7 @@ mod tests {
             }],
             next_vreg: 3,
         };
-        assert!(dead_code_elim(&mut f, &md()));
+        assert!(dead_code_elim(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(f.blocks[0].insts.len(), 3);
         assert!(f.blocks[0]
             .insts
@@ -3110,7 +3316,7 @@ mod tests {
             ],
             next_vreg: 0,
         };
-        assert!(simplify_cfg(&mut f));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCache::new()).any());
         assert_eq!(f.blocks.len(), 1, "{f}");
     }
 
@@ -3141,7 +3347,7 @@ mod tests {
             blocks,
             next_vreg: n,
         };
-        assert!(simplify_cfg(&mut f));
+        assert!(simplify_cfg(&mut f, &mut AnalysisCache::new()).any());
         assert_eq!(f.blocks.len(), 1, "{f}");
         let values: Vec<i32> = f.blocks[0]
             .insts
@@ -3187,8 +3393,8 @@ mod tests {
             }],
             next_vreg: 5,
         };
-        ssa::construct(&mut f);
-        assert!(gvn_cse(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(gvn_cse(&mut f, &md(), &mut AnalysisCache::new()).any());
         let adds = f.blocks[0]
             .insts
             .iter()
@@ -3196,8 +3402,8 @@ mod tests {
             .count();
         assert_eq!(adds, 1, "commutative duplicate must become a copy: {f}");
         // After copy propagation + DCE the copy disappears entirely.
-        copy_propagate(&mut f, &md());
-        dead_code_elim(&mut f, &md());
+        copy_propagate(&mut f, &md(), &mut AnalysisCache::new());
+        dead_code_elim(&mut f, &md(), &mut AnalysisCache::new());
         assert_eq!(f.blocks[0].insts.len(), 2, "{f}");
     }
 
@@ -3240,9 +3446,9 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        ssa::construct(&mut f);
+        ssa::construct(&mut f, &mut AnalysisCache::new());
         assert!(
-            !gvn_cse(&mut f, &md()),
+            !gvn_cse(&mut f, &md(), &mut AnalysisCache::new()).any(),
             "sibling defs must not be merged: {f}"
         );
     }
@@ -3278,7 +3484,7 @@ mod tests {
             ],
             next_vreg: 1,
         };
-        assert!(fold_terminators(&mut f, &md()));
+        assert!(fold_terminators(&mut f, &md(), &mut AnalysisCache::new()).any());
         for b in f.block_ids() {
             assert!(
                 matches!(f.block(b).term, Term::Goto(_) | Term::Ret(_)),
@@ -3326,8 +3532,8 @@ mod tests {
             ],
             next_vreg: 2,
         };
-        ssa::construct(&mut f);
-        assert!(fold_terminators(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(fold_terminators(&mut f, &md(), &mut AnalysisCache::new()).any());
         // The empty forwarding block is gone; the φ still has one argument
         // per incoming edge.
         let preds = cfg::predecessors(&f);
@@ -3351,12 +3557,11 @@ mod tests {
         let mut f = const_add_fn();
         assert!(pm.run_function(&mut f, &md()));
         let stats = pm.stats();
-        // SCCP leads the -O2 roster, so it (not the dense fold) reports
-        // the constant-folding changes; const-fold still runs.
+        // SCCP replaces the dense fold at -O2: it reports the
+        // constant-folding changes, and const-fold never runs.
         let sc = stats.get(pass::SCCP).expect("sccp ran");
         assert!(sc.runs > 0 && sc.changes > 0, "{stats:?}");
-        let cf = stats.get(pass::CONST_FOLD).expect("const-fold ran");
-        assert!(cf.runs > 0, "{stats:?}");
+        assert!(stats.get(pass::CONST_FOLD).is_none(), "{stats:?}");
         let dce = stats.get(pass::DCE).expect("dce ran");
         assert!(dce.insts_removed > 0, "{stats:?}");
         // Idempotence: a second run over the optimized function reports no
@@ -3370,6 +3575,69 @@ mod tests {
             (blocks, insts),
             "fixed point must be structurally stable: {f}"
         );
+    }
+
+    /// Runs `p` as the only SSA pass of a verify-each manager over the
+    /// store-free diamond; returns the panic message, if any.
+    fn verify_each_panic(p: SsaPass) -> Option<String> {
+        std::panic::catch_unwind(|| {
+            let mut pm = PassManager::new().with_verify(VerifyMode::Each);
+            pm.register("liar", p);
+            pm.run_function(&mut diamond_mem_fn(None, None), &md());
+        })
+        .err()
+        .map(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    #[test]
+    fn verify_each_catches_a_pass_hiding_its_rewrite() {
+        // Adds an instruction, reports nothing: the cache would keep
+        // serving the pre-pass address resolution.
+        fn liar(f: &mut MirFunction, _: &mem::MemoryModel, _: &mut AnalysisCache) -> Changed {
+            let dst = f.fresh();
+            f.block_mut(BlockId(3))
+                .insts
+                .insert(0, Inst::Const { dst, value: 7 });
+            Changed::Nothing
+        }
+        let msg = verify_each_panic(liar);
+        if cfg!(debug_assertions) {
+            let msg = msg.expect("the lying pass must be caught");
+            assert!(
+                msg.contains("after liar in round 1.1: reported no change"),
+                "{msg}"
+            );
+        } else {
+            assert_eq!(msg, None, "release builds compile the check out");
+        }
+    }
+
+    #[test]
+    fn verify_each_catches_a_cfg_change_reported_as_insts() {
+        // Turns the then-arm's edge to the join into a return, reports an
+        // instruction-only change: the join keeps one predecessor, and the
+        // predecessor and dominator entries `ssa::construct` cached go
+        // stale.
+        fn liar(f: &mut MirFunction, _: &mem::MemoryModel, _: &mut AnalysisCache) -> Changed {
+            let term = &mut f.block_mut(BlockId(1)).term;
+            if *term != Term::Goto(BlockId(3)) {
+                return Changed::Nothing;
+            }
+            *term = Term::Ret(Some(VReg(0)));
+            Changed::Insts
+        }
+        let msg = verify_each_panic(liar);
+        if cfg!(debug_assertions) {
+            let msg = msg.expect("the stale cache must be caught");
+            assert!(
+                msg.contains("after liar in round 1.1: stale analysis cache (preds,")
+                    && msg.contains("dominators")
+                    && msg.contains("after a reported Insts change"),
+                "{msg}"
+            );
+        } else {
+            assert_eq!(msg, None, "release builds compile the check out");
+        }
     }
 
     #[test]
@@ -3427,8 +3695,8 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        ssa::construct(&mut f);
-        assert!(sccp(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(sccp(&mut f, &md(), &mut AnalysisCache::new()).any());
         // The never-executable else block is gone; the φ collapsed.
         assert!(f.blocks.len() <= 3, "{f}");
         let folded: Vec<i32> = f
@@ -3448,7 +3716,7 @@ mod tests {
             );
         }
         // Idempotent: a second run reports no change.
-        assert!(!sccp(&mut f, &md()), "{f}");
+        assert!(!sccp(&mut f, &md(), &mut AnalysisCache::new()).any(), "{f}");
     }
 
     #[test]
@@ -3489,8 +3757,11 @@ mod tests {
             ],
             next_vreg: 2,
         };
-        ssa::construct(&mut f);
-        assert!(!sccp(&mut f, &md()), "nothing is provably constant: {f}");
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(
+            !sccp(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "nothing is provably constant: {f}"
+        );
         assert_eq!(f.blocks.len(), 4, "no block may be removed: {f}");
     }
 
@@ -3539,8 +3810,8 @@ mod tests {
             ],
             next_vreg: 3,
         };
-        ssa::construct(&mut f);
-        assert!(sccp(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(sccp(&mut f, &md(), &mut AnalysisCache::new()).any());
         let preds = cfg::predecessors(&f);
         for b in f.block_ids() {
             for inst in &f.block(b).insts {
@@ -3630,8 +3901,8 @@ mod tests {
     #[test]
     fn licm_hoists_invariant_computation_to_preheader() {
         let mut f = licm_example();
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(licm(&mut f, &md(), &mut AnalysisCache::new()).any());
         let loops = cfg::natural_loops(&f);
         assert_eq!(loops.len(), 1, "{f}");
         // The multiplication left the loop body...
@@ -3659,7 +3930,7 @@ mod tests {
             "hoisted code must dominate the loop header: {f}"
         );
         // Idempotent.
-        assert!(!licm(&mut f, &md()), "{f}");
+        assert!(!licm(&mut f, &md(), &mut AnalysisCache::new()).any(), "{f}");
         // And the loop-varying add stayed put.
         let body_has_add = loops[0].body.iter().any(|b| {
             f.block(*b)
@@ -3680,8 +3951,8 @@ mod tests {
             dst: VReg(4),
             addr: VReg(3),
         };
-        ssa::construct(&mut f);
-        licm(&mut f, &md());
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        licm(&mut f, &md(), &mut AnalysisCache::new());
         let loops = cfg::natural_loops(&f);
         assert_eq!(loops.len(), 1);
         let body_has_load = loops[0].body.iter().any(|b| {
@@ -3780,8 +4051,8 @@ mod tests {
             ],
             next_vreg: 7,
         };
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(licm(&mut f, &md(), &mut AnalysisCache::new()).any());
         // SSA still holds: every def unique, every φ-arg pred is a real
         // predecessor.
         let mut defs = BTreeSet::new();
@@ -3845,7 +4116,7 @@ mod tests {
             }],
             next_vreg: 5,
         };
-        assert!(coalesce_copies(&mut f, &md()));
+        assert!(coalesce_copies(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert!(
             !f.blocks[0]
                 .insts
@@ -3894,7 +4165,7 @@ mod tests {
             }],
             next_vreg: 4,
         };
-        assert!(coalesce_copies(&mut f, &md()));
+        assert!(coalesce_copies(&mut f, &md(), &mut AnalysisCache::new()).any());
         // Semantics: find the extern call and check its args trace back
         // to the swapped sources via the remaining copies.
         let insts = &f.blocks[0].insts;
@@ -3971,7 +4242,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(merge_return_blocks(&mut f, &md()));
+        assert!(merge_return_blocks(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(f.blocks.len(), 4, "one duplicate exit gone: {f}");
         let ret_zero = f
             .block_ids()
@@ -3986,7 +4257,10 @@ mod tests {
         assert_eq!(ret_zero, 1, "{f}");
         // A block returning a *live-in* register must not merge with one
         // returning a local constant.
-        assert!(!merge_return_blocks(&mut f, &md()), "idempotent: {f}");
+        assert!(
+            !merge_return_blocks(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "idempotent: {f}"
+        );
     }
 
     #[test]
@@ -4033,7 +4307,7 @@ mod tests {
             next_vreg: 3,
         };
         assert!(
-            !merge_return_blocks(&mut f, &md()),
+            !merge_return_blocks(&mut f, &md(), &mut AnalysisCache::new()).any(),
             "blocks returning different values must not merge: {f}"
         );
         assert_eq!(f.blocks.len(), 3);
@@ -4068,7 +4342,10 @@ mod tests {
             ],
             next_vreg: 2,
         };
-        assert!(!merge_return_blocks(&mut f, &md()), "{f}");
+        assert!(
+            !merge_return_blocks(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "{f}"
+        );
         assert_eq!(f.blocks.len(), 3);
     }
 
@@ -4221,7 +4498,10 @@ mod tests {
             ],
             next_vreg: 10,
         };
-        assert!(dead_code_elim(&mut f, &md()), "the cycle must be swept");
+        assert!(
+            dead_code_elim(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "the cycle must be swept"
+        );
         for b in f.block_ids() {
             for inst in &f.block(b).insts {
                 let d = inst.def();
@@ -4236,7 +4516,10 @@ mod tests {
             .insts
             .iter()
             .any(|i| matches!(i, Inst::Phi { dst, .. } if *dst == VReg(3))));
-        assert!(!dead_code_elim(&mut f, &md()), "{f}");
+        assert!(
+            !dead_code_elim(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "{f}"
+        );
     }
 
     /// `store [Addr(0,0)] = v0; loads…` scaffolding for the memory-pass
@@ -4296,7 +4579,7 @@ mod tests {
             ],
             6,
         );
-        assert!(store_load_forward(&mut f, &md()));
+        assert!(store_load_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(
             f.blocks[0].insts[3],
             Inst::Copy {
@@ -4349,14 +4632,20 @@ mod tests {
             func: 1,
             args: vec![],
         });
-        assert!(!store_load_forward(&mut with_call, &md()), "{with_call}");
+        assert!(
+            !store_load_forward(&mut with_call, &md(), &mut AnalysisCache::new()).any(),
+            "{with_call}"
+        );
         // An extern passes registers only: the cell survives.
         let mut with_ext = build(Inst::CallExtern {
             dst: None,
             ext: 0,
             args: vec![],
         });
-        assert!(store_load_forward(&mut with_ext, &md()), "{with_ext}");
+        assert!(
+            store_load_forward(&mut with_ext, &md(), &mut AnalysisCache::new()).any(),
+            "{with_ext}"
+        );
         assert_eq!(
             with_ext.blocks[0].insts[3],
             Inst::Copy {
@@ -4408,7 +4697,7 @@ mod tests {
             ],
             4,
         );
-        assert!(store_load_forward(&mut f, &model));
+        assert!(store_load_forward(&mut f, &model, &mut AnalysisCache::new()).any());
         assert_eq!(
             f.blocks[0].insts[3],
             Inst::Copy {
@@ -4461,7 +4750,7 @@ mod tests {
             5,
         );
         // The g1-rooted store cannot touch g0's cell: still forwarded.
-        assert!(store_load_forward(&mut f, &md()));
+        assert!(store_load_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(
             f.blocks[0].insts[5],
             Inst::Copy {
@@ -4510,7 +4799,7 @@ mod tests {
             4,
         );
         assert!(
-            !store_load_forward(&mut f, &md()),
+            !store_load_forward(&mut f, &md(), &mut AnalysisCache::new()).any(),
             "sub-word overlapping store must kill the tracked cell: {f}"
         );
     }
@@ -4552,7 +4841,7 @@ mod tests {
             4,
         );
         assert!(
-            !dead_store_elim(&mut f, &md()),
+            !dead_store_elim(&mut f, &md(), &mut AnalysisCache::new()).any(),
             "a partially-read store must survive: {f}"
         );
     }
@@ -4586,14 +4875,17 @@ mod tests {
             ],
             3,
         );
-        assert!(dead_store_elim(&mut f, &md()));
+        assert!(dead_store_elim(&mut f, &md(), &mut AnalysisCache::new()).any());
         let stores = f.blocks[0]
             .insts
             .iter()
             .filter(|i| matches!(i, Inst::Store { .. }))
             .count();
         assert_eq!(stores, 1, "{f}");
-        assert!(!dead_store_elim(&mut f, &md()), "idempotent: {f}");
+        assert!(
+            !dead_store_elim(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "idempotent: {f}"
+        );
     }
 
     #[test]
@@ -4632,7 +4924,10 @@ mod tests {
             },
         ] {
             let mut f = reader(r);
-            assert!(!dead_store_elim(&mut f, &md()), "{f}");
+            assert!(
+                !dead_store_elim(&mut f, &md(), &mut AnalysisCache::new()).any(),
+                "{f}"
+            );
         }
         // The final store of a block is never dead (memory escapes).
         let mut tail = mem_fn(
@@ -4649,7 +4944,7 @@ mod tests {
             ],
             2,
         );
-        assert!(!dead_store_elim(&mut tail, &md()));
+        assert!(!dead_store_elim(&mut tail, &md(), &mut AnalysisCache::new()).any());
     }
 
     /// A countdown loop whose body loads `g0[0]` every iteration; with
@@ -4735,8 +5030,7 @@ mod tests {
     #[test]
     fn avail_loads_flows_availability_and_kills_at_joins() {
         let f = diamond_mem_fn(Some(1), None);
-        let addrs = mem::FnAddrs::analyze(&f);
-        let avail = avail_loads(&f, &md(), &addrs);
+        let avail = avail_loads(&f, &md(), &mut AnalysisCache::new());
         let cell = (0usize, 0i32);
         assert!(avail.universe().contains(&cell));
         // Stored on the then-arm only: available at its exit, not at the
@@ -4746,8 +5040,7 @@ mod tests {
         assert!(!avail.on_entry(BlockId(3)).contains(&cell));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
-        let addrs2 = mem::FnAddrs::analyze(&f2);
-        let avail2 = avail_loads(&f2, &md(), &addrs2);
+        let avail2 = avail_loads(&f2, &md(), &mut AnalysisCache::new());
         assert!(avail2.on_entry(BlockId(3)).contains(&cell));
     }
 
@@ -4792,7 +5085,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 0, "straight line needs no phi: {f}");
         assert_eq!(f.blocks[1].term, Term::Ret(Some(VReg(0))), "{f}");
@@ -4801,7 +5094,7 @@ mod tests {
     #[test]
     fn cross_block_forward_merges_diamond_values_with_phi() {
         let mut f = diamond_mem_fn(Some(1), Some(2));
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 1, "differing arm values need a phi: {f}");
         let Some(Inst::Phi { dst, args }) = f.blocks[3].insts.first() else {
@@ -4861,7 +5154,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(cross_block_forward(&mut f, &md()));
+        assert!(cross_block_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(count_loads(&f), 0, "{f}");
         assert_eq!(count_phis(&f), 0, "trivial loop phi must collapse: {f}");
         assert_eq!(f.blocks[2].term, Term::Ret(Some(VReg(0))), "{f}");
@@ -4913,7 +5206,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        assert!(!cross_block_forward(&mut f, &md()));
+        assert!(!cross_block_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(count_loads(&f), 1, "{f}");
     }
 
@@ -4922,7 +5215,7 @@ mod tests {
         // Stored on the then-arm only: PRE inserts the compensating load
         // in the else-arm and phi-merges, deleting the join's load.
         let mut f = diamond_mem_fn(Some(7), None);
-        assert!(load_pre(&mut f, &md()));
+        assert!(load_pre(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(count_phis(&f), 1, "{f}");
         assert_eq!(
             f.blocks[2]
@@ -4941,13 +5234,19 @@ mod tests {
             "the join's load is gone: {f}"
         );
         // Fully redundant now: a second run has nothing left to do.
-        assert!(!load_pre(&mut f, &md()), "{f}");
+        assert!(
+            !load_pre(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "{f}"
+        );
     }
 
     #[test]
     fn load_pre_leaves_fully_unavailable_joins_alone() {
         let mut f = diamond_mem_fn(None, None);
-        assert!(!load_pre(&mut f, &md()), "{f}");
+        assert!(
+            !load_pre(&mut f, &md(), &mut AnalysisCache::new()).any(),
+            "{f}"
+        );
         assert_eq!(count_loads(&f), 1, "{f}");
     }
 
@@ -5052,8 +5351,8 @@ mod tests {
     #[test]
     fn licm_hoists_clobber_free_loads() {
         let mut f = load_loop(false);
-        ssa::construct(&mut f);
-        assert!(licm(&mut f, &md()));
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        assert!(licm(&mut f, &md(), &mut AnalysisCache::new()).any());
         assert_eq!(
             loads_in_loop_bodies(&f),
             0,
@@ -5064,8 +5363,8 @@ mod tests {
     #[test]
     fn licm_keeps_loads_the_loop_clobbers() {
         let mut f = load_loop(true);
-        ssa::construct(&mut f);
-        licm(&mut f, &md());
+        ssa::construct(&mut f, &mut AnalysisCache::new());
+        licm(&mut f, &md(), &mut AnalysisCache::new());
         assert_eq!(
             loads_in_loop_bodies(&f),
             1,

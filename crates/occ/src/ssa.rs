@@ -9,18 +9,23 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use crate::analysis::{AnalysisCache, Changed};
 use crate::cfg;
 use crate::mir::{Block, BlockId, Inst, MirFunction, Term, VReg};
 
-/// Converts a function into SSA form (φ-nodes appear in block headers).
-pub fn construct(f: &mut MirFunction) {
+/// Converts a function into SSA form (φ-nodes appear in block headers),
+/// reading predecessors, dominators and dominance frontiers from `cache`.
+/// Returns [`Changed::Cfg`] if unreachable blocks were dropped, else
+/// [`Changed::Insts`] (φ insertion and renaming keep every successor
+/// list).
+pub fn construct(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
     // Work on reachable code only; unreachable blocks would confuse
     // renaming (they have no dominator-tree position).
-    remove_unreachable_blocks(f);
+    let removed = remove_unreachable_blocks(f, cache);
 
-    let preds = cfg::predecessors(f);
-    let df = cfg::dominance_frontiers(f);
-    let idom = cfg::dominators(f);
+    let preds = cache.preds(f);
+    let df = cache.frontiers(f);
+    let idom = cache.dominators(f);
 
     // Definition sites per register.
     let mut defsites: BTreeMap<VReg, BTreeSet<BlockId>> = BTreeMap::new();
@@ -137,6 +142,11 @@ pub fn construct(f: &mut MirFunction) {
             crate::verify::report(&vs)
         );
     }
+    if removed {
+        Changed::Cfg
+    } else {
+        Changed::Insts
+    }
 }
 
 /// Folds φs of single-predecessor (and predecessor-less) blocks into
@@ -145,9 +155,9 @@ pub fn construct(f: &mut MirFunction) {
 /// branch, a dropped `Switch` arm, an unreachable predecessor — can
 /// leave a join block with one surviving predecessor, whose φs are just
 /// copies of their single remaining argument. Returns `true` if any φ
-/// was folded.
-pub fn fold_trivial_phis(f: &mut MirFunction) -> bool {
-    let preds = cfg::predecessors(f);
+/// was folded (an instruction-only change, already applied to `cache`).
+pub fn fold_trivial_phis(f: &mut MirFunction, cache: &mut AnalysisCache) -> bool {
+    let preds = cache.preds(f);
     let mut changed = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let distinct: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
@@ -163,6 +173,7 @@ pub fn fold_trivial_phis(f: &mut MirFunction) -> bool {
             }
         }
     }
+    cache.invalidate(Changed::insts_if(changed));
     changed
 }
 
@@ -246,11 +257,14 @@ fn rename(
     }
 }
 
-/// Removes blocks unreachable from the entry, remapping ids.
-pub fn remove_unreachable_blocks(f: &mut MirFunction) {
-    let reach = cfg::reachable(f);
+/// Removes blocks unreachable from the entry, remapping ids. Returns
+/// `true` if any block was removed — a CFG change, already applied to
+/// `cache`. Callers that rewrote a terminator must have invalidated the
+/// cache first: reachability is read from it.
+pub fn remove_unreachable_blocks(f: &mut MirFunction, cache: &mut AnalysisCache) -> bool {
+    let reach = cache.reachable(f);
     if reach.len() == f.blocks.len() {
-        return;
+        return false;
     }
     let mut remap: BTreeMap<BlockId, BlockId> = BTreeMap::new();
     let mut new_blocks = Vec::new();
@@ -272,11 +286,15 @@ pub fn remove_unreachable_blocks(f: &mut MirFunction) {
         }
     }
     f.blocks = new_blocks;
+    cache.invalidate(Changed::Cfg);
+    true
 }
 
 /// Lowers φ-nodes back to copies (splitting critical edges), leaving a
-/// φ-free function ready for the backend.
-pub fn destruct(f: &mut MirFunction) {
+/// φ-free function ready for the backend. Returns [`Changed::Cfg`] if a
+/// critical edge was split, [`Changed::Insts`] if φs were lowered onto
+/// existing edges only, [`Changed::Nothing`] for a φ-free input.
+pub fn destruct(f: &mut MirFunction) -> Changed {
     // Collect copies to insert per edge (pred -> block).
     // Post-destruct boundary of the pipeline verifier: the output must
     // be φ-free and structurally sound (debug builds only).
@@ -293,10 +311,12 @@ pub fn destruct(f: &mut MirFunction) {
     }
 
     let mut edge_copies: BTreeMap<(BlockId, BlockId), Vec<(VReg, VReg)>> = BTreeMap::new();
+    let mut had_phi = false;
     for b in f.block_ids().collect::<Vec<_>>() {
         let mut kept = Vec::new();
         for inst in f.block(b).insts.clone() {
             if let Inst::Phi { dst, args } = inst {
+                had_phi = true;
                 for (p, v) in args {
                     edge_copies.entry((p, b)).or_default().push((dst, v));
                 }
@@ -308,8 +328,9 @@ pub fn destruct(f: &mut MirFunction) {
     }
     if edge_copies.is_empty() {
         debug_verify_phi_free(f);
-        return;
+        return Changed::insts_if(had_phi);
     }
+    let mut changed = Changed::Insts;
     for ((p, b), copies) in edge_copies {
         // Staged parallel copy: tmp_i = src_i ; dst_i = tmp_i. This is
         // immune to the swap/lost-copy problems.
@@ -338,9 +359,11 @@ pub fn destruct(f: &mut MirFunction) {
             f.block_mut(p)
                 .term
                 .map_succs(&mut |s| if s == b { e } else { s });
+            changed = Changed::Cfg;
         }
     }
     debug_verify_phi_free(f);
+    changed
 }
 
 #[cfg(test)]
@@ -394,7 +417,7 @@ mod tests {
     #[test]
     fn construct_places_phi_at_join() {
         let mut f = phi_example();
-        construct(&mut f);
+        construct(&mut f, &mut AnalysisCache::new());
         let join = &f.blocks[3];
         assert!(matches!(join.insts.first(), Some(Inst::Phi { .. })), "{f}");
         // Single static assignment: every def is unique.
@@ -445,7 +468,7 @@ mod tests {
             ],
             next_vreg: 2,
         };
-        construct(&mut f);
+        construct(&mut f, &mut AnalysisCache::new());
         let vs = crate::verify::verify_function(&f, crate::verify::Tier::Ssa);
         assert!(vs.is_empty(), "{}{f}", crate::verify::report(&vs));
     }
@@ -453,7 +476,7 @@ mod tests {
     #[test]
     fn destruct_removes_phis_and_stays_executable() {
         let mut f = phi_example();
-        construct(&mut f);
+        construct(&mut f, &mut AnalysisCache::new());
         destruct(&mut f);
         for b in &f.blocks {
             for i in &b.insts {
@@ -475,7 +498,7 @@ mod tests {
             }],
             term: Term::Ret(None),
         });
-        remove_unreachable_blocks(&mut f);
+        remove_unreachable_blocks(&mut f, &mut AnalysisCache::new());
         assert_eq!(f.blocks.len(), 4);
         // Terminators still point at valid blocks.
         for b in f.block_ids() {
@@ -536,7 +559,7 @@ mod tests {
             ],
             next_vreg: 4,
         };
-        construct(&mut f);
+        construct(&mut f, &mut AnalysisCache::new());
         let header = &f.blocks[1];
         assert!(
             matches!(header.insts.first(), Some(Inst::Phi { .. })),

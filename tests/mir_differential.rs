@@ -35,6 +35,7 @@
 
 use proptest::prelude::*;
 
+use occ::analysis::AnalysisCache;
 use occ::mem::MemoryModel;
 use occ::mir::{BinOp, Block, GlobalData, Inst, MirFunction, Program, Term, VReg, Word};
 use occ::vm::{DecodedProgram, FastVm, Vm};
@@ -441,15 +442,29 @@ fn trace_at(program: &Program, level: OptLevel) -> Vec<(String, Vec<i32>)> {
 }
 
 /// Applies exactly the given SSA passes (plus the SSA round trip) and
-/// returns the resulting trace at `-O0` code generation.
+/// returns the resulting trace at `-O0` code generation. Every step
+/// shares one [`AnalysisCache`] per function, invalidated by the class
+/// each step reports — as the pass manager does — and after every pass
+/// each cached analysis must equal a fresh computation (in release
+/// builds too).
 fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String, Vec<i32>)> {
     let mut p = program.clone();
     let model = MemoryModel::of(&p);
     for f in &mut p.functions {
-        opt::simplify_cfg(f);
-        ssa::construct(f);
+        let mut cache = AnalysisCache::new();
+        let changed = opt::simplify_cfg(f, &mut cache);
+        cache.invalidate(changed);
+        let changed = ssa::construct(f, &mut cache);
+        cache.invalidate(changed);
         for (i, pass) in passes.iter().enumerate() {
-            pass(f, &model);
+            let changed = pass(f, &model, &mut cache);
+            cache.invalidate(changed);
+            let stale = cache.stale(f, &model);
+            assert!(
+                stale.is_empty(),
+                "pass #{i} left stale analyses {stale:?} after reporting {changed:?} in `{}`",
+                f.name
+            );
             if cfg!(debug_assertions) {
                 let mut vs = verify::verify_function(f, verify::Tier::Ssa);
                 vs.extend(verify::verify_memory(f, &model));
@@ -462,7 +477,7 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
             }
         }
         ssa::destruct(f);
-        opt::simplify_cfg(f);
+        opt::simplify_cfg(f, &mut AnalysisCache::new());
     }
     let asm = occ::backend::compile_program(&p, OptLevel::O0).expect("compiles");
     let mut vm = Vm::new(&asm, RecordingEnv::new());
@@ -470,8 +485,66 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
     vm.into_env().calls
 }
 
+/// Every SSA pass under its reporting name, for randomly composed
+/// rosters.
+const SSA_PASSES: [(&str, opt::SsaPass); 11] = [
+    (opt::pass::SCCP, opt::sccp),
+    (opt::pass::CONST_FOLD, opt::constant_fold),
+    (opt::pass::COPY_PROP, opt::copy_propagate),
+    (opt::pass::GVN_CSE, opt::gvn_cse),
+    (opt::pass::STORE_LOAD_FWD, opt::store_load_forward),
+    (opt::pass::CROSS_LOAD_FWD, opt::cross_block_forward),
+    (opt::pass::LOAD_PRE, opt::load_pre),
+    (opt::pass::DSE, opt::dead_store_elim),
+    (opt::pass::LICM, opt::licm),
+    (opt::pass::TERM_FOLD, opt::fold_terminators),
+    (opt::pass::DCE, opt::dead_code_elim),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Random rosters through the pass manager: any sequence of SSA
+    /// passes (repeats allowed), any outer-round count, with or without
+    /// the φ-free post passes, preserves the trace. Verify-each is forced,
+    /// so in debug builds the manager checks after every step that each
+    /// cached analysis equals a fresh computation and that a step
+    /// reporting no change left the function untouched. The same sequence
+    /// driven by hand through `trace_with_passes` checks cache freshness
+    /// after every pass in every build profile.
+    #[test]
+    fn cached_analyses_stay_fresh_under_random_rosters(
+        consts in prop::collection::vec(-8i32..8, 2..5),
+        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
+        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+        roster in prop::collection::vec(0usize..SSA_PASSES.len(), 1..10),
+        rounds in 1usize..4,
+        post in any::<bool>(),
+    ) {
+        let program = build_program(&consts, &ops, &blocks, 0);
+        let oracle = trace_at(&program, OptLevel::O0);
+        let mut pm = opt::PassManager::new()
+            .with_outer_rounds(rounds)
+            .with_verify(opt::VerifyMode::Each);
+        for &i in &roster {
+            let (name, pass) = SSA_PASSES[i];
+            pm.register(name, pass);
+        }
+        if post {
+            pm.register_post(opt::pass::COPY_COALESCE, opt::coalesce_copies)
+                .register_post(opt::pass::TAIL_MERGE, opt::merge_return_blocks);
+        }
+        let mut p = program.clone();
+        pm.run_program(&mut p);
+        let asm = occ::backend::compile_program(&p, OptLevel::O0).expect("compiles");
+        let mut vm = Vm::new(&asm, RecordingEnv::new());
+        vm.run("main", &[]).expect("runs");
+        let names: Vec<&str> = roster.iter().map(|&i| SSA_PASSES[i].0).collect();
+        prop_assert_eq!(&vm.into_env().calls, &oracle, "roster {:?} diverges", names);
+        let passes: Vec<opt::SsaPass> = roster.iter().map(|&i| SSA_PASSES[i].1).collect();
+        let got = trace_with_passes(&program, &passes);
+        prop_assert_eq!(&got, &oracle, "hand-driven roster {:?} diverges", names);
+    }
 
     /// The whole pipeline preserves the trace at every level.
     #[test]

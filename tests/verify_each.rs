@@ -19,6 +19,7 @@
 use std::collections::BTreeSet;
 
 use cgen::Pattern;
+use occ::analysis::AnalysisCache;
 use occ::mir::{BlockId, Inst, MirFunction, Term, VReg};
 use occ::opt::{self, VerifyMode};
 use occ::verify::{self, Rule, Tier};
@@ -180,8 +181,10 @@ fn mutation_smoke_verifier_catches_random_corruptions() {
     for _ in 0..96 {
         let fi = rng.gen_range(0..program.functions.len());
         let mut f = program.functions[fi].clone();
-        opt::simplify_cfg(&mut f);
-        ssa::construct(&mut f);
+        let mut cache = AnalysisCache::new();
+        let changed = opt::simplify_cfg(&mut f, &mut cache);
+        cache.invalidate(changed);
+        ssa::construct(&mut f, &mut cache);
         let expected = match rng.gen_range(0..5) {
             0 => corrupt_goto_out_of_range(&mut f, &mut rng),
             1 => corrupt_operand(&mut f, &mut rng),
