@@ -4,7 +4,8 @@
 #   ./ci.sh            # full gate: fmt, clippy, rustdoc, build, deep
 #                      # tests, bench smoke, throughput smoke,
 #                      # batch-compile smoke, differential fuzz smoke,
-#                      # bench-regression gate
+#                      # bench-regression gate, layered-benchmark
+#                      # contract tests
 #   ./ci.sh --fast     # quick gate: fmt, clippy, rustdoc, dev tests
 #
 # Mirrors the tier-1 verify command of ROADMAP.md plus style gates, the
@@ -127,6 +128,14 @@ else
         cargo run --release -q -p bench --bin snapshot
     run_stage "bench regression gate" \
         cargo run --release -q -p bench --bin regress
+    # Layered-benchmark contract tests: layerbench/ is a package of its
+    # own (outside the workspace), so the workspace test stages never
+    # reach it. Its tests check that the staged compile it times equals
+    # occ::compile's output and that its deterministic counts are stable
+    # — the net a mid-end rewrite that must keep output identical leans
+    # on.
+    run_stage "layerbench contract tests" \
+        cargo test --release --offline --manifest-path layerbench/Cargo.toml
 fi
 
 echo

@@ -35,6 +35,32 @@
 //! pass ([`AnalysisCache::stale`]), so a pass that under-reports its
 //! change class fails as a verifier error naming the pass and round.
 //!
+//! # Dense tables
+//!
+//! Every entry, and every table the passes build for themselves, is a
+//! flat array indexed by entity number ([`crate::dense`]): a register by
+//! [`VReg`](crate::mir::VReg)`.0`, a block by [`BlockId`]`.0`, a memory cell by its
+//! position in the sorted cell universe ([`mem::cell_universe`]). So
+//! [`AnalysisCache::dominators`] is one `Option<BlockId>` per block,
+//! [`AnalysisCache::reachable`] a block bitset,
+//! [`AnalysisCache::frontiers`] one ascending list per block, and the
+//! availability sets of [`AnalysisCache::avail_loads`] are `u64`-word
+//! bitsets over cell indices. Walking a table in index order visits keys
+//! in ascending order, the order an ordered map would give, so every φ
+//! order, rewrite order and tie-break is what it would be with one.
+//!
+//! Register tables are sized from the function's `next_vreg`, which
+//! assumes every register in the function is below it. That is the
+//! [`crate::verify::Rule::VRegOutOfRange`] structural rule: checked only
+//! in debug builds, and guaranteed by lowering for everything
+//! [`crate::compile`] optimizes. A register past the sized range is not
+//! a wrong answer: a read finds nothing and a write grows the table.
+//!
+//! [`AnalysisCache::stale`] compares each cached entry with a fresh
+//! computation using `==`. Dense sets compare by members, not by sized
+//! range, so a fresh table sized for a grown `next_vreg` still equals a
+//! cached one with the same contents.
+//!
 //! ```
 //! use occ::analysis::{AnalysisCache, Changed};
 //! use occ::mir::{Block, BlockId, MirFunction, Term};
@@ -53,7 +79,7 @@
 //! };
 //! let mut cache = AnalysisCache::new();
 //! let idom = cache.dominators(&f);
-//! assert_eq!(idom[&BlockId(1)], BlockId(0));
+//! assert_eq!(idom[1], Some(BlockId(0)));
 //! // Instruction-only changes keep the CFG analyses...
 //! cache.invalidate(Changed::Insts);
 //! assert!(Rc::ptr_eq(&idom, &cache.dominators(&f)));
@@ -62,11 +88,10 @@
 //! assert!(!Rc::ptr_eq(&idom, &cache.dominators(&f)));
 //! ```
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use crate::cfg::{self, NaturalLoop};
+use crate::cfg::{self, Idoms, NaturalLoop};
+use crate::dense::DenseSet;
 use crate::mem;
 use crate::mir::{BlockId, MirFunction};
 use crate::opt::{self, AvailLoads};
@@ -118,10 +143,10 @@ impl Changed {
 pub struct AnalysisCache {
     preds: Option<Rc<Vec<Vec<BlockId>>>>,
     rpo: Option<Rc<Vec<BlockId>>>,
-    reachable: Option<Rc<BTreeSet<BlockId>>>,
-    idom: Option<Rc<BTreeMap<BlockId, BlockId>>>,
+    reachable: Option<Rc<DenseSet<BlockId>>>,
+    idom: Option<Rc<Idoms>>,
     loops: Option<Rc<Vec<NaturalLoop>>>,
-    frontiers: Option<Rc<BTreeMap<BlockId, BTreeSet<BlockId>>>>,
+    frontiers: Option<Rc<Vec<Vec<BlockId>>>>,
     fn_addrs: Option<Rc<mem::FnAddrs>>,
     avail: Option<Rc<AvailLoads>>,
 }
@@ -164,13 +189,19 @@ impl AnalysisCache {
 
     /// The blocks reachable from the entry: the blocks of
     /// [`AnalysisCache::rpo`].
-    pub fn reachable(&mut self, f: &MirFunction) -> Rc<BTreeSet<BlockId>> {
+    pub fn reachable(&mut self, f: &MirFunction) -> Rc<DenseSet<BlockId>> {
         let rpo = self.rpo(f);
-        memo(&mut self.reachable, || rpo.iter().copied().collect())
+        memo(&mut self.reachable, || {
+            let mut set = DenseSet::with_capacity(f.blocks.len());
+            for &b in rpo.iter() {
+                set.insert(b);
+            }
+            set
+        })
     }
 
     /// [`cfg::dominators`].
-    pub fn dominators(&mut self, f: &MirFunction) -> Rc<BTreeMap<BlockId, BlockId>> {
+    pub fn dominators(&mut self, f: &MirFunction) -> Rc<Idoms> {
         let (rpo, preds) = (self.rpo(f), self.preds(f));
         memo(&mut self.idom, || cfg::dominators_with(&rpo, &preds))
     }
@@ -184,7 +215,7 @@ impl AnalysisCache {
     }
 
     /// [`cfg::dominance_frontiers`].
-    pub fn frontiers(&mut self, f: &MirFunction) -> Rc<BTreeMap<BlockId, BTreeSet<BlockId>>> {
+    pub fn frontiers(&mut self, f: &MirFunction) -> Rc<Vec<Vec<BlockId>>> {
         let (idom, preds) = (self.dominators(f), self.preds(f));
         memo(&mut self.frontiers, || {
             cfg::dominance_frontiers_with(f, &idom, &preds)

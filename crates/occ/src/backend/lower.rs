@@ -37,7 +37,7 @@ pub fn lower_function(f: &MirFunction, level: OptLevel) -> Result<VCode, Compile
     let order = cfg::reverse_postorder(f);
     let index: BTreeMap<_, _> = order.iter().enumerate().map(|(i, b)| (*b, i)).collect();
     let loops = cfg::natural_loops(f);
-    let depth_of = |b| loops.iter().filter(|l| l.body.contains(&b)).count() as u32;
+    let depth_of = |b| loops.iter().filter(|l| l.contains(b)).count() as u32;
 
     let mut vc = VCode {
         name: f.name.clone(),

@@ -35,6 +35,7 @@ use super::{
     is_callee_saved, RegAllocStats, ALLOC_REGS, ARG_REGS, RET_REG, SCRATCH0, SCRATCH1, SP,
 };
 use crate::cfg;
+use crate::dense::DenseSet;
 use crate::mir::{BinOp, VReg};
 
 /// Caller-saved probe order: keep `r1` last so it stays free for result
@@ -105,8 +106,8 @@ struct Intervals {
 fn build_ranges(vc: &VCode) -> Intervals {
     let n = vc.blocks.len();
     // Block-level liveness over virtual registers.
-    let mut use_set = vec![BTreeSet::new(); n];
-    let mut def_set = vec![BTreeSet::new(); n];
+    let mut use_set = vec![DenseSet::with_capacity(vc.next_vreg as usize); n];
+    let mut def_set = vec![DenseSet::with_capacity(vc.next_vreg as usize); n];
     let mut succs = Vec::with_capacity(n);
     for (bi, block) in vc.blocks.iter().enumerate() {
         for ops in block
@@ -119,7 +120,7 @@ fn build_ranges(vc: &VCode) -> Intervals {
                 let Reg::Virt(v) = op.reg else { continue };
                 match op.kind {
                     OpKind::Use => {
-                        if !def_set[bi].contains(&v) {
+                        if !def_set[bi].contains(v) {
                             use_set[bi].insert(v);
                         }
                     }
@@ -153,8 +154,8 @@ fn build_ranges(vc: &VCode) -> Intervals {
     for (bi, block) in vc.blocks.iter().enumerate() {
         let depth_weight = 1.0 + 3.0 * f64::from(block.loop_depth);
         let first_pos = 2 * idx;
-        for v in &live.live_in[bi] {
-            touch(&mut ranges, *v, first_pos);
+        for v in live.live_in[bi].iter() {
+            touch(&mut ranges, v, first_pos);
         }
         let inst_ops = block
             .insts
@@ -195,8 +196,8 @@ fn build_ranges(vc: &VCode) -> Intervals {
             idx += 1;
         }
         let block_end = 2 * (idx - 1) + 1;
-        for v in &live.live_out[bi] {
-            touch(&mut ranges, *v, block_end);
+        for v in live.live_out[bi].iter() {
+            touch(&mut ranges, v, block_end);
         }
     }
     // Parameters are defined at position 0 in ARG_REGS order; dead

@@ -5,18 +5,22 @@
 //! frontiers follow Cytron et al., feeding φ-placement in [`crate::ssa`].
 //! Natural loops are discovered from back edges (an edge `n → h` where
 //! `h` dominates `n`), feeding loop-invariant code motion in
-//! [`crate::opt`].
+//! [`crate::opt`]. Every per-block result is a dense table indexed by
+//! [`BlockId`]`.0` and every register set a [`DenseSet`] (see
+//! [`crate::dense`]).
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
+use crate::dense::DenseSet;
 use crate::mir::{BlockId, MirFunction, VReg};
+
+/// Immediate dominators indexed by block: the entry maps to itself,
+/// unreachable blocks to `None`.
+pub type Idoms = Vec<Option<BlockId>>;
 
 /// Predecessor lists for every block.
 pub fn predecessors(f: &MirFunction) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); f.blocks.len()];
     for b in f.block_ids() {
-        for s in f.block(b).term.succs() {
+        for s in f.block(b).term.successors() {
             preds[s.0 as usize].push(b);
         }
     }
@@ -25,16 +29,14 @@ pub fn predecessors(f: &MirFunction) -> Vec<Vec<BlockId>> {
 
 /// Reverse postorder over reachable blocks (entry first).
 pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
-    let mut visited = BTreeSet::new();
-    let mut post = Vec::new();
+    let mut visited: DenseSet<BlockId> = DenseSet::with_capacity(f.blocks.len());
+    let mut post = Vec::with_capacity(f.blocks.len());
     // Iterative DFS with an explicit stack of (block, next-successor).
     let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
     visited.insert(BlockId(0));
     while let Some((b, i)) = stack.pop() {
-        let succs = f.block(b).term.succs();
-        if i < succs.len() {
+        if let Some(s) = f.block(b).term.successors().nth(i) {
             stack.push((b, i + 1));
-            let s = succs[i];
             if visited.insert(s) {
                 stack.push((s, 0));
             }
@@ -47,23 +49,27 @@ pub fn reverse_postorder(f: &MirFunction) -> Vec<BlockId> {
 }
 
 /// Immediate dominators (entry maps to itself).
-pub fn dominators(f: &MirFunction) -> BTreeMap<BlockId, BlockId> {
+pub fn dominators(f: &MirFunction) -> Idoms {
     dominators_with(&reverse_postorder(f), &predecessors(f))
 }
 
 /// [`dominators`] from an already computed [`reverse_postorder`] and
 /// [`predecessors`] of the function (the analysis cache's entry point).
-pub fn dominators_with(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> BTreeMap<BlockId, BlockId> {
-    let order: BTreeMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let mut idom: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-    idom.insert(BlockId(0), BlockId(0));
+pub fn dominators_with(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> Idoms {
+    const UNREACHABLE: u32 = u32::MAX;
+    let mut order = vec![UNREACHABLE; preds.len()];
+    for (i, b) in rpo.iter().enumerate() {
+        order[b.0 as usize] = i as u32;
+    }
+    let mut idom: Idoms = vec![None; preds.len()];
+    idom[0] = Some(BlockId(0));
     let mut changed = true;
     while changed {
         changed = false;
         for &b in rpo.iter().skip(1) {
             let mut new_idom: Option<BlockId> = None;
             for &p in &preds[b.0 as usize] {
-                if !order.contains_key(&p) || !idom.contains_key(&p) {
+                if order[p.0 as usize] == UNREACHABLE || idom[p.0 as usize].is_none() {
                     continue;
                 }
                 new_idom = Some(match new_idom {
@@ -72,8 +78,8 @@ pub fn dominators_with(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> BTreeMap<Bloc
                 });
             }
             if let Some(ni) = new_idom {
-                if idom.get(&b) != Some(&ni) {
-                    idom.insert(b, ni);
+                if idom[b.0 as usize] != Some(ni) {
+                    idom[b.0 as usize] = Some(ni);
                     changed = true;
                 }
             }
@@ -82,16 +88,14 @@ pub fn dominators_with(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> BTreeMap<Bloc
     idom
 }
 
-/// Children lists of the dominator tree described by `idom` (the entry's
-/// self-edge is not a child). Shared by SSA renaming and dominator-scoped
-/// value numbering.
-pub fn dominator_tree_children(
-    idom: &BTreeMap<BlockId, BlockId>,
-) -> BTreeMap<BlockId, Vec<BlockId>> {
-    let mut children: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
-    for (b, d) in idom {
-        if *b != BlockId(0) {
-            children.entry(*d).or_default().push(*b);
+/// Children lists of the dominator tree described by `idom`, indexed by
+/// block, each in ascending order (the entry's self-edge is not a
+/// child). Shared by SSA renaming and dominator-scoped value numbering.
+pub fn dominator_tree_children(idom: &[Option<BlockId>]) -> Vec<Vec<BlockId>> {
+    let mut children = vec![Vec::new(); idom.len()];
+    for (b, d) in idom.iter().enumerate().skip(1) {
+        if let Some(d) = d {
+            children[d.0 as usize].push(BlockId(b as u32));
         }
     }
     children
@@ -101,28 +105,25 @@ pub fn dominator_tree_children(
 /// after everything that dominates it, which is the iteration order
 /// dominator-scoped rewrites want — when a block is visited, facts
 /// established in its dominators are already in place. Unreachable
-/// blocks (absent from `idom`) are not visited.
-pub fn dominator_preorder(idom: &BTreeMap<BlockId, BlockId>) -> Vec<BlockId> {
+/// blocks (`None` in `idom`) are not visited.
+pub fn dominator_preorder(idom: &[Option<BlockId>]) -> Vec<BlockId> {
     let children = dominator_tree_children(idom);
     let mut order = Vec::with_capacity(idom.len());
     let mut stack = vec![BlockId(0)];
     while let Some(b) = stack.pop() {
         order.push(b);
-        if let Some(kids) = children.get(&b) {
-            // Reversed push so children are visited in ascending order.
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
-        }
+        // Reversed push so children are visited in ascending order.
+        stack.extend(children[b.0 as usize].iter().rev());
     }
     order
 }
 
-/// `true` if `a` dominates `b` under the `idom` map of [`dominators`]
+/// `true` if `a` dominates `b` under the `idom` table of [`dominators`]
 /// (every block dominates itself; unreachable blocks dominate nothing
 /// and are dominated by nothing).
-pub fn dominates(idom: &BTreeMap<BlockId, BlockId>, a: BlockId, b: BlockId) -> bool {
-    if !idom.contains_key(&a) {
+pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
+    let idom_of = |x: BlockId| idom.get(x.0 as usize).copied().flatten();
+    if idom_of(a).is_none() {
         return false;
     }
     let mut x = b;
@@ -130,19 +131,19 @@ pub fn dominates(idom: &BTreeMap<BlockId, BlockId>, a: BlockId, b: BlockId) -> b
         if x == a {
             return true;
         }
-        match idom.get(&x) {
-            Some(&d) if d != x => x = d,
+        match idom_of(x) {
+            Some(d) if d != x => x = d,
             _ => return false, // reached the entry (self-idom) or unreachable
         }
     }
 }
 
-/// A queryable dominator tree: the [`dominators`] map bundled with the
+/// A queryable dominator tree: the [`dominators`] table bundled with the
 /// reachability and dominance queries clients keep re-deriving from it.
 /// This is the query surface the [`crate::verify`] SSA tier is built on.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    idom: BTreeMap<BlockId, BlockId>,
+    idom: Idoms,
 }
 
 impl DomTree {
@@ -153,15 +154,15 @@ impl DomTree {
         }
     }
 
-    /// The underlying immediate-dominator map (entry maps to itself;
-    /// unreachable blocks are absent).
-    pub fn idoms(&self) -> &BTreeMap<BlockId, BlockId> {
+    /// The underlying immediate-dominator table (entry maps to itself;
+    /// unreachable blocks are `None`).
+    pub fn idoms(&self) -> &[Option<BlockId>] {
         &self.idom
     }
 
     /// `true` if `b` is reachable from the entry block.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.idom.contains_key(&b)
+        self.idom.get(b.0 as usize).is_some_and(Option::is_some)
     }
 
     /// `true` if `a` dominates `b` (reflexive; `false` whenever either
@@ -192,13 +193,13 @@ pub struct NaturalLoop {
     /// Sources of the back edges into the header, in discovery order.
     pub latches: Vec<BlockId>,
     /// All loop blocks, header and latches included.
-    pub body: BTreeSet<BlockId>,
+    pub body: DenseSet<BlockId>,
 }
 
 impl NaturalLoop {
     /// `true` if `b` belongs to this loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.body.contains(&b)
+        self.body.contains(b)
     }
 }
 
@@ -209,26 +210,26 @@ pub fn natural_loops(f: &MirFunction) -> Vec<NaturalLoop> {
     natural_loops_with(f, &dominators(f), &predecessors(f))
 }
 
-/// [`natural_loops`] from an already computed [`dominators`] map and
+/// [`natural_loops`] from an already computed [`dominators`] table and
 /// [`predecessors`] of `f`.
 pub fn natural_loops_with(
     f: &MirFunction,
-    idom: &BTreeMap<BlockId, BlockId>,
+    idom: &[Option<BlockId>],
     preds: &[Vec<BlockId>],
 ) -> Vec<NaturalLoop> {
-    let mut by_header: BTreeMap<BlockId, NaturalLoop> = BTreeMap::new();
+    let mut by_header: Vec<Option<NaturalLoop>> = vec![None; f.blocks.len()];
     for n in f.block_ids() {
-        if !idom.contains_key(&n) {
+        if idom[n.0 as usize].is_none() {
             continue; // unreachable
         }
-        for h in f.block(n).term.succs() {
+        for h in f.block(n).term.successors() {
             if !dominates(idom, h, n) {
                 continue; // not a back edge
             }
-            let lp = by_header.entry(h).or_insert_with(|| NaturalLoop {
+            let lp = by_header[h.0 as usize].get_or_insert_with(|| NaturalLoop {
                 header: h,
                 latches: Vec::new(),
-                body: BTreeSet::from([h]),
+                body: [h].into_iter().collect(),
             });
             if !lp.latches.contains(&n) {
                 lp.latches.push(n);
@@ -241,65 +242,63 @@ pub fn natural_loops_with(
                     continue;
                 }
                 for &p in &preds[x.0 as usize] {
-                    if idom.contains_key(&p) {
+                    if idom[p.0 as usize].is_some() {
                         stack.push(p);
                     }
                 }
             }
         }
     }
-    let mut loops: Vec<NaturalLoop> = by_header.into_values().collect();
+    let mut loops: Vec<NaturalLoop> = by_header.into_iter().flatten().collect();
     loops.sort_by_key(|l| (l.body.len(), l.header));
     loops
 }
 
-fn intersect(
-    mut a: BlockId,
-    mut b: BlockId,
-    idom: &BTreeMap<BlockId, BlockId>,
-    order: &BTreeMap<BlockId, usize>,
-) -> BlockId {
+fn intersect(mut a: BlockId, mut b: BlockId, idom: &[Option<BlockId>], order: &[u32]) -> BlockId {
+    let up = |x: BlockId| idom[x.0 as usize].expect("processed blocks have an idom");
     while a != b {
-        while order[&a] > order[&b] {
-            a = idom[&a];
+        while order[a.0 as usize] > order[b.0 as usize] {
+            a = up(a);
         }
-        while order[&b] > order[&a] {
-            b = idom[&b];
+        while order[b.0 as usize] > order[a.0 as usize] {
+            b = up(b);
         }
     }
     a
 }
 
-/// Dominance frontiers (Cytron et al.).
-pub fn dominance_frontiers(f: &MirFunction) -> BTreeMap<BlockId, BTreeSet<BlockId>> {
+/// Dominance frontiers (Cytron et al.), indexed by block, each in
+/// ascending order.
+pub fn dominance_frontiers(f: &MirFunction) -> Vec<Vec<BlockId>> {
     dominance_frontiers_with(f, &dominators(f), &predecessors(f))
 }
 
-/// [`dominance_frontiers`] from an already computed [`dominators`] map
+/// [`dominance_frontiers`] from an already computed [`dominators`] table
 /// and [`predecessors`] of `f`.
 pub fn dominance_frontiers_with(
     f: &MirFunction,
-    idom: &BTreeMap<BlockId, BlockId>,
+    idom: &[Option<BlockId>],
     preds: &[Vec<BlockId>],
-) -> BTreeMap<BlockId, BTreeSet<BlockId>> {
-    let mut df: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
+) -> Vec<Vec<BlockId>> {
+    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
     for b in f.block_ids() {
-        if !idom.contains_key(&b) {
+        let Some(b_idom) = idom[b.0 as usize] else {
             continue; // unreachable
-        }
-        let bp: Vec<BlockId> = preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| idom.contains_key(p))
-            .collect();
-        if bp.len() < 2 {
+        };
+        let reachable = |p: &&BlockId| idom[p.0 as usize].is_some();
+        if preds[b.0 as usize].iter().filter(reachable).count() < 2 {
             continue;
         }
-        for p in bp {
+        for &p in preds[b.0 as usize].iter().filter(reachable) {
             let mut runner = p;
-            while runner != idom[&b] {
-                df.entry(runner).or_default().insert(b);
-                runner = idom[&runner];
+            while runner != b_idom {
+                // `b` ascends in the outer loop, so each list stays
+                // sorted; only the last entry can repeat `b`.
+                let list = &mut df[runner.0 as usize];
+                if list.last() != Some(&b) {
+                    list.push(b);
+                }
+                runner = idom[runner.0 as usize].expect("runners are reachable");
             }
         }
     }
@@ -310,44 +309,39 @@ pub fn dominance_frontiers_with(
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
     /// Registers live on entry of each block.
-    pub live_in: Vec<BTreeSet<VReg>>,
+    pub live_in: Vec<DenseSet<VReg>>,
     /// Registers live on exit of each block.
-    pub live_out: Vec<BTreeSet<VReg>>,
+    pub live_out: Vec<DenseSet<VReg>>,
 }
 
 /// Classic backward dataflow liveness over the MIR CFG.
 pub fn liveness(f: &MirFunction) -> Liveness {
     let n = f.blocks.len();
-    let mut use_set = vec![BTreeSet::new(); n];
-    let mut def_set = vec![BTreeSet::new(); n];
-    for b in f.block_ids() {
-        let i = b.0 as usize;
-        for inst in &f.block(b).insts {
-            for u in inst.uses() {
-                if !def_set[i].contains(&u) {
-                    use_set[i].insert(u);
+    let regs = f.next_vreg as usize;
+    let mut use_set = vec![DenseSet::with_capacity(regs); n];
+    let mut def_set = vec![DenseSet::with_capacity(regs); n];
+    for (i, block) in f.blocks.iter().enumerate() {
+        let (uses, defs) = (&mut use_set[i], &mut def_set[i]);
+        for inst in &block.insts {
+            inst.for_each_use(|u| {
+                if !defs.contains(u) {
+                    uses.insert(u);
                 }
-            }
+            });
             if let Some(d) = inst.def() {
-                def_set[i].insert(d);
+                defs.insert(d);
             }
         }
-        for u in f.block(b).term.uses() {
-            if !def_set[i].contains(&u) {
-                use_set[i].insert(u);
+        if let Some(u) = block.term.used() {
+            if !defs.contains(u) {
+                uses.insert(u);
             }
         }
     }
     let succs: Vec<Vec<usize>> = f
-        .block_ids()
-        .map(|b| {
-            f.block(b)
-                .term
-                .succs()
-                .into_iter()
-                .map(|s| s.0 as usize)
-                .collect()
-        })
+        .blocks
+        .iter()
+        .map(|b| b.term.successors().map(|s| s.0 as usize).collect())
         .collect();
     solve_liveness(&succs, &use_set, &def_set)
 }
@@ -363,28 +357,25 @@ pub fn liveness(f: &MirFunction) -> Liveness {
 /// `MirFunction` to hand.
 pub fn solve_liveness(
     succs: &[Vec<usize>],
-    use_set: &[BTreeSet<VReg>],
-    def_set: &[BTreeSet<VReg>],
+    use_set: &[DenseSet<VReg>],
+    def_set: &[DenseSet<VReg>],
 ) -> Liveness {
     let n = succs.len();
     assert_eq!(use_set.len(), n);
     assert_eq!(def_set.len(), n);
-    let mut live_in = vec![BTreeSet::new(); n];
-    let mut live_out = vec![BTreeSet::new(); n];
+    let mut live_in = vec![DenseSet::default(); n];
+    let mut live_out = vec![DenseSet::default(); n];
     let mut changed = true;
     while changed {
         changed = false;
         for i in (0..n).rev() {
-            let mut out = BTreeSet::new();
+            let mut out = DenseSet::default();
             for s in &succs[i] {
-                out.extend(live_in[*s].iter().copied());
+                out.union_with(&live_in[*s]);
             }
-            let mut inn: BTreeSet<VReg> = use_set[i].clone();
-            for v in &out {
-                if !def_set[i].contains(v) {
-                    inn.insert(*v);
-                }
-            }
+            let mut inn = out.clone();
+            inn.subtract(&def_set[i]);
+            inn.union_with(&use_set[i]);
             if inn != live_in[i] || out != live_out[i] {
                 live_in[i] = inn;
                 live_out[i] = out;
@@ -399,6 +390,10 @@ pub fn solve_liveness(
 mod tests {
     use super::*;
     use crate::mir::{BinOp, Block, Inst, MirFunction, Term};
+
+    fn blocks(ids: &[u32]) -> Vec<BlockId> {
+        ids.iter().copied().map(BlockId).collect()
+    }
 
     /// Diamond: bb0 -> bb1 | bb2 -> bb3.
     fn diamond() -> MirFunction {
@@ -458,17 +453,18 @@ mod tests {
     fn dominator_tree_of_diamond() {
         let f = diamond();
         let idom = dominators(&f);
-        assert_eq!(idom[&BlockId(1)], BlockId(0));
-        assert_eq!(idom[&BlockId(2)], BlockId(0));
-        assert_eq!(idom[&BlockId(3)], BlockId(0));
+        assert_eq!(idom[1], Some(BlockId(0)));
+        assert_eq!(idom[2], Some(BlockId(0)));
+        assert_eq!(idom[3], Some(BlockId(0)));
     }
 
     #[test]
     fn frontier_of_diamond_is_join() {
         let f = diamond();
         let df = dominance_frontiers(&f);
-        assert!(df[&BlockId(1)].contains(&BlockId(3)));
-        assert!(df[&BlockId(2)].contains(&BlockId(3)));
+        assert_eq!(df[1], blocks(&[3]));
+        assert_eq!(df[2], blocks(&[3]));
+        assert!(df[0].is_empty() && df[3].is_empty());
     }
 
     #[test]
@@ -476,9 +472,9 @@ mod tests {
         let f = diamond();
         let lv = liveness(&f);
         // v0 is used in bb3 and bb0, so live-in everywhere on the path.
-        assert!(lv.live_in[0].contains(&VReg(0)));
-        assert!(lv.live_in[1].contains(&VReg(0)));
-        assert!(lv.live_out[0].contains(&VReg(0)));
+        assert!(lv.live_in[0].contains(VReg(0)));
+        assert!(lv.live_in[1].contains(VReg(0)));
+        assert!(lv.live_out[0].contains(VReg(0)));
     }
 
     fn block(term: Term) -> Block {
@@ -515,7 +511,7 @@ mod tests {
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, BlockId(1));
         assert_eq!(loops[0].latches, vec![BlockId(1)]);
-        assert_eq!(loops[0].body, BTreeSet::from([BlockId(1)]));
+        assert_eq!(loops[0].body.iter().collect::<Vec<_>>(), blocks(&[1]));
     }
 
     #[test]
@@ -543,14 +539,11 @@ mod tests {
         let inner = &loops[0];
         let outer = &loops[1];
         assert_eq!(inner.header, BlockId(2));
-        assert_eq!(inner.body, BTreeSet::from([BlockId(2), BlockId(3)]));
+        assert_eq!(inner.body.iter().collect::<Vec<_>>(), blocks(&[2, 3]));
         assert_eq!(outer.header, BlockId(1));
-        assert_eq!(
-            outer.body,
-            BTreeSet::from([BlockId(1), BlockId(2), BlockId(3), BlockId(4)])
-        );
+        assert_eq!(outer.body.iter().collect::<Vec<_>>(), blocks(&[1, 2, 3, 4]));
         assert!(
-            inner.body.is_subset(&outer.body),
+            inner.body.iter().all(|b| outer.contains(b)),
             "inner loop nests inside outer"
         );
     }
@@ -572,7 +565,7 @@ mod tests {
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, BlockId(1));
         assert_eq!(loops[0].latches, vec![BlockId(2)]);
-        assert_eq!(loops[0].body, BTreeSet::from([BlockId(1), BlockId(2)]));
+        assert_eq!(loops[0].body.iter().collect::<Vec<_>>(), blocks(&[1, 2]));
     }
 
     #[test]
@@ -601,10 +594,7 @@ mod tests {
         let loops = natural_loops(&f);
         assert_eq!(loops.len(), 1, "{loops:?}");
         assert_eq!(loops[0].latches, vec![BlockId(2), BlockId(3)]);
-        assert_eq!(
-            loops[0].body,
-            BTreeSet::from([BlockId(1), BlockId(2), BlockId(3)])
-        );
+        assert_eq!(loops[0].body.iter().collect::<Vec<_>>(), blocks(&[1, 2, 3]));
     }
 
     #[test]
@@ -643,10 +633,10 @@ mod tests {
         let order = dominator_preorder(&idom);
         assert_eq!(order.len(), 4, "all reachable blocks visited once");
         assert_eq!(order[0], BlockId(0), "entry first");
-        let pos: BTreeMap<BlockId, usize> =
-            order.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        for (&b, &d) in &idom {
-            assert!(pos[&d] <= pos[&b], "{d} must precede {b} in {order:?}");
+        let pos = |b: BlockId| order.iter().position(|x| *x == b).expect("visited");
+        for (b, d) in idom.iter().enumerate() {
+            let (b, d) = (BlockId(b as u32), d.expect("all reachable"));
+            assert!(pos(d) <= pos(b), "{d} must precede {b} in {order:?}");
         }
     }
 

@@ -88,6 +88,7 @@
 pub mod analysis;
 pub mod backend;
 pub mod cfg;
+pub mod dense;
 pub mod driver;
 pub mod lower;
 pub mod mem;

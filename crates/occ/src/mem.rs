@@ -113,9 +113,9 @@
 //! [`Inst::Call`]: crate::mir::Inst::Call
 //! [`Inst::CallInd`]: crate::mir::Inst::CallInd
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use crate::dense::DenseSet;
 use crate::mir::{BinOp, BlockId, Inst, MirFunction, Program, VReg};
 
 /// Program-wide memory facts the function-local passes consult: which
@@ -293,95 +293,121 @@ impl Sym {
 }
 
 /// Per-function address resolution: maps every virtual register to the
-/// [`AddrInfo`] describing the address it may hold.
+/// [`AddrInfo`] describing the address it may hold, in a table indexed by
+/// register number.
 ///
 /// Registers with several definitions (non-SSA form) resolve to
 /// [`AddrInfo::Unknown`], so the result is conservative — and therefore
 /// sound — on any input, SSA or not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnAddrs {
-    sym: BTreeMap<VReg, Sym>,
+    sym: Vec<Sym>,
+}
+
+/// One register's defining instruction during [`FnAddrs::analyze`].
+#[derive(Clone, Copy)]
+enum Def<'a> {
+    None,
+    One(&'a Inst),
+    Many,
 }
 
 impl FnAddrs {
     /// Resolves every register of `f`.
     pub fn analyze(f: &MirFunction) -> FnAddrs {
-        let mut defs: BTreeMap<VReg, &Inst> = BTreeMap::new();
-        let mut multi: BTreeSet<VReg> = BTreeSet::new();
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
+        let mut defs: Vec<Def<'_>> = vec![Def::None; f.next_vreg as usize];
+        for blk in &f.blocks {
+            for inst in &blk.insts {
                 if let Some(d) = inst.def() {
-                    if defs.insert(d, inst).is_some() {
-                        multi.insert(d);
+                    let i = d.0 as usize;
+                    if i >= defs.len() {
+                        defs.resize(i + 1, Def::None);
                     }
+                    defs[i] = match defs[i] {
+                        Def::None => Def::One(inst),
+                        _ => Def::Many,
+                    };
                 }
             }
         }
-        let mut out = FnAddrs {
-            sym: BTreeMap::new(),
+        let mut r = Resolver {
+            memo: vec![None; defs.len()],
+            visiting: DenseSet::with_capacity(defs.len()),
+            defs,
         };
-        let mut visiting: BTreeSet<VReg> = BTreeSet::new();
-        for &v in defs.keys() {
-            resolve(v, &defs, &multi, &mut visiting, &mut out.sym);
+        for i in 0..r.defs.len() {
+            r.resolve(VReg(i as u32));
         }
-        out
+        FnAddrs {
+            sym: r
+                .memo
+                .into_iter()
+                .map(|s| s.unwrap_or(Sym::Other))
+                .collect(),
+        }
     }
 
     /// What the register is known to address.
     pub fn info(&self, v: VReg) -> AddrInfo {
-        self.sym.get(&v).copied().unwrap_or(Sym::Other).info()
+        self.sym
+            .get(v.0 as usize)
+            .copied()
+            .unwrap_or(Sym::Other)
+            .info()
     }
 }
 
-fn resolve(
-    v: VReg,
-    defs: &BTreeMap<VReg, &Inst>,
-    multi: &BTreeSet<VReg>,
-    visiting: &mut BTreeSet<VReg>,
-    memo: &mut BTreeMap<VReg, Sym>,
-) -> Sym {
-    if let Some(&s) = memo.get(&v) {
-        return s;
-    }
-    // Parameters and undefined registers have no traceable definition;
-    // multiply-defined registers (non-SSA form) and cyclic chains are
-    // given up on rather than reasoned about.
-    let Some(inst) = defs.get(&v) else {
-        memo.insert(v, Sym::Other);
-        return Sym::Other;
-    };
-    if multi.contains(&v) || !visiting.insert(v) {
-        memo.insert(v, Sym::Other);
-        return Sym::Other;
-    }
-    let s = match inst {
-        Inst::Const { value, .. } => Sym::Const(*value),
-        Inst::Addr { global, offset, .. } => Sym::Exact(*global, *offset),
-        Inst::Copy { src, .. } => resolve(*src, defs, multi, visiting, memo),
-        Inst::Bin { op, lhs, rhs, .. } if matches!(op, BinOp::Add | BinOp::Sub) => {
-            let l = resolve(*lhs, defs, multi, visiting, memo);
-            let r = resolve(*rhs, defs, multi, visiting, memo);
-            combine(*op, l, r)
+/// The memoized recursive resolution behind [`FnAddrs::analyze`].
+struct Resolver<'a> {
+    defs: Vec<Def<'a>>,
+    memo: Vec<Option<Sym>>,
+    visiting: DenseSet<VReg>,
+}
+
+impl Resolver<'_> {
+    fn resolve(&mut self, v: VReg) -> Sym {
+        let i = v.0 as usize;
+        if let Some(s) = self.memo.get(i).copied().flatten() {
+            return s;
         }
-        Inst::Phi { args, .. } => {
-            let mut acc: Option<Sym> = None;
-            for (_, a) in args {
-                let s = resolve(*a, defs, multi, visiting, memo);
-                acc = Some(match acc {
-                    None => s,
-                    Some(prev) => meet(prev, s),
-                });
-                if acc == Some(Sym::Other) {
-                    break;
-                }
+        // Parameters and undefined registers have no traceable definition;
+        // multiply-defined registers (non-SSA form) and cyclic chains are
+        // given up on rather than reasoned about.
+        let Some(Def::One(inst)) = self.defs.get(i).copied() else {
+            return Sym::Other;
+        };
+        if !self.visiting.insert(v) {
+            return Sym::Other;
+        }
+        let s = match inst {
+            Inst::Const { value, .. } => Sym::Const(*value),
+            Inst::Addr { global, offset, .. } => Sym::Exact(*global, *offset),
+            Inst::Copy { src, .. } => self.resolve(*src),
+            Inst::Bin { op, lhs, rhs, .. } if matches!(op, BinOp::Add | BinOp::Sub) => {
+                let l = self.resolve(*lhs);
+                let r = self.resolve(*rhs);
+                combine(*op, l, r)
             }
-            acc.unwrap_or(Sym::Other)
-        }
-        _ => Sym::Other,
-    };
-    visiting.remove(&v);
-    memo.insert(v, s);
-    s
+            Inst::Phi { args, .. } => {
+                let mut acc: Option<Sym> = None;
+                for (_, a) in args {
+                    let s = self.resolve(*a);
+                    acc = Some(match acc {
+                        None => s,
+                        Some(prev) => meet(prev, s),
+                    });
+                    if acc == Some(Sym::Other) {
+                        break;
+                    }
+                }
+                acc.unwrap_or(Sym::Other)
+            }
+            _ => Sym::Other,
+        };
+        self.visiting.remove(v);
+        self.memo[i] = Some(s);
+        s
+    }
 }
 
 /// Folds `Add`/`Sub` over resolution values. Anything that leaves the
@@ -442,23 +468,35 @@ pub fn cell_info(cell: Cell) -> AddrInfo {
     }
 }
 
-/// Every exactly addressed cell `f` loads or stores — the finite universe
-/// the cross-block availability dataflow ranges over. Accesses through
-/// rooted run-time or untraceable addresses contribute no cell (they can
-/// only *kill* availability, never carry it).
-pub fn cell_universe(f: &MirFunction, addrs: &FnAddrs) -> BTreeSet<Cell> {
-    let mut cells = BTreeSet::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
+/// Every exactly addressed cell `f` loads or stores, sorted and without
+/// duplicates — the finite universe the cross-block availability
+/// dataflow ranges over; a cell's position in it is its dense index
+/// ([`cell_index`]). Accesses through rooted run-time or untraceable
+/// addresses contribute no cell (they can only *kill* availability,
+/// never carry it).
+pub fn cell_universe(f: &MirFunction, addrs: &FnAddrs) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             if let Some(addr) = inst.mem_addr() {
                 if let AddrInfo::Exact { global, offset } = addrs.info(addr) {
-                    cells.insert((global, offset));
+                    cells.push((global, offset));
                 }
             }
         }
     }
+    cells.sort_unstable();
+    cells.dedup();
     cells
 }
+
+/// The dense index of `cell` in a sorted [`cell_universe`].
+pub fn cell_index(universe: &[Cell], cell: Cell) -> Option<usize> {
+    universe.binary_search(&cell).ok()
+}
+
+/// A set of cells, as dense indices into a [`cell_universe`].
+pub type CellSet = DenseSet<usize>;
 
 /// What an in-block forward walk knows about one tracked cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,28 +529,42 @@ pub enum CellVal {
 /// clobbers that cell.
 #[derive(Debug, Clone)]
 pub struct CellState<'a> {
-    universe: &'a BTreeSet<Cell>,
-    state: BTreeMap<Cell, CellVal>,
+    universe: &'a [Cell],
+    /// Per universe cell, by dense index.
+    state: Vec<CellVal>,
 }
 
 impl<'a> CellState<'a> {
-    /// A fresh walk state: every universe cell is [`CellVal::FromEntry`].
-    pub fn new(universe: &'a BTreeSet<Cell>) -> CellState<'a> {
+    /// A fresh walk state over a sorted [`cell_universe`]: every cell is
+    /// [`CellVal::FromEntry`].
+    pub fn new(universe: &'a [Cell]) -> CellState<'a> {
         CellState {
             universe,
-            state: BTreeMap::new(),
+            state: vec![CellVal::FromEntry; universe.len()],
         }
     }
 
     /// The current knowledge about `cell`.
     pub fn value(&self, cell: Cell) -> CellVal {
-        self.state.get(&cell).copied().unwrap_or(CellVal::FromEntry)
+        cell_index(self.universe, cell).map_or(CellVal::FromEntry, |i| self.state[i])
     }
 
     /// Overrides the knowledge about `cell` (the cross-block rewriter
-    /// records a forwarded load's replacement register this way).
+    /// records a forwarded load's replacement register this way); a cell
+    /// outside the universe is not tracked.
     pub fn set(&mut self, cell: Cell, val: CellVal) {
-        self.state.insert(cell, val);
+        if let Some(i) = cell_index(self.universe, cell) {
+            self.state[i] = val;
+        }
+    }
+
+    /// Clobbers every tracked cell `hit` selects.
+    fn clobber(&mut self, hit: impl Fn(Cell) -> bool) {
+        for (val, &cell) in self.state.iter_mut().zip(self.universe) {
+            if hit(cell) {
+                *val = CellVal::Clobbered;
+            }
+        }
     }
 
     /// Advances the state over one instruction.
@@ -520,54 +572,31 @@ impl<'a> CellState<'a> {
         // A redefinition of a register holding a tracked value makes the
         // remembered content stale (only possible off SSA form).
         if let Some(d) = inst.def() {
-            for cell in self.universe {
-                if self.value(*cell) == CellVal::Reg(d) {
-                    self.state.insert(*cell, CellVal::Clobbered);
+            for val in &mut self.state {
+                if *val == CellVal::Reg(d) {
+                    *val = CellVal::Clobbered;
                 }
             }
         }
         match inst {
             Inst::Load { dst, addr } => {
                 if let AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                    let cell = (global, offset);
-                    if self.universe.contains(&cell) && !matches!(self.value(cell), CellVal::Reg(_))
-                    {
-                        self.state.insert(cell, CellVal::Reg(*dst));
+                    if let Some(i) = cell_index(self.universe, (global, offset)) {
+                        if !matches!(self.state[i], CellVal::Reg(_)) {
+                            self.state[i] = CellVal::Reg(*dst);
+                        }
                     }
                 }
             }
             Inst::Store { addr, src } => match addrs.info(*addr) {
                 AddrInfo::Exact { global, offset } => {
-                    for cell in self.universe {
-                        if cell.0 == global && overlaps(cell.1, offset) {
-                            self.state.insert(*cell, CellVal::Clobbered);
-                        }
-                    }
-                    let cell = (global, offset);
-                    if self.universe.contains(&cell) {
-                        self.state.insert(cell, CellVal::Reg(*src));
-                    }
+                    self.clobber(|(g, o)| g == global && overlaps(o, offset));
+                    self.set((global, offset), CellVal::Reg(*src));
                 }
-                AddrInfo::Base { global } => {
-                    for cell in self.universe {
-                        if cell.0 == global {
-                            self.state.insert(*cell, CellVal::Clobbered);
-                        }
-                    }
-                }
-                AddrInfo::Unknown => {
-                    for cell in self.universe {
-                        self.state.insert(*cell, CellVal::Clobbered);
-                    }
-                }
+                AddrInfo::Base { global } => self.clobber(|(g, _)| g == global),
+                AddrInfo::Unknown => self.clobber(|_| true),
             },
-            i if i.may_write_mem() => {
-                for cell in self.universe {
-                    if !model.is_rodata(cell.0) {
-                        self.state.insert(*cell, CellVal::Clobbered);
-                    }
-                }
-            }
+            i if i.may_write_mem() => self.clobber(|(g, _)| !model.is_rodata(g)),
             _ => {}
         }
     }
@@ -575,24 +604,27 @@ impl<'a> CellState<'a> {
 
 /// One block's summarized effect on tracked memory cells — the transfer
 /// function of the cross-block availability dataflow, precomputed by
-/// running [`CellState`] over the block once.
+/// running [`CellState`] over the block once. Cells are dense indices
+/// into the universe the summary was computed over.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockCells {
-    /// Cells whose content is in a register at block exit, whatever the
-    /// entry state was (a store's source or a load's destination with no
-    /// later clobber).
-    pub provides: BTreeMap<Cell, VReg>,
+    /// Per cell: the register holding its content at block exit, whatever
+    /// the entry state was (a store's source or a load's destination with
+    /// no later clobber); `None` for a cell the block does not provide.
+    pub provides: Vec<Option<VReg>>,
+    /// The cells with a `provides` register.
+    pub provided: CellSet,
     /// Cells clobbered (and not re-provided) by the block: entry
     /// availability dies here.
-    pub killed: BTreeSet<Cell>,
+    pub killed: CellSet,
 }
 
 impl BlockCells {
-    /// Summarizes block `b` of `f` over `universe`.
+    /// Summarizes block `b` of `f` over a sorted `universe`.
     pub fn summarize(
         f: &MirFunction,
         b: BlockId,
-        universe: &BTreeSet<Cell>,
+        universe: &[Cell],
         addrs: &FnAddrs,
         model: &MemoryModel,
     ) -> BlockCells {
@@ -600,14 +632,19 @@ impl BlockCells {
         for inst in &f.block(b).insts {
             st.apply(inst, addrs, model);
         }
-        let mut out = BlockCells::default();
-        for (&cell, &val) in &st.state {
+        let mut out = BlockCells {
+            provides: vec![None; universe.len()],
+            provided: CellSet::with_capacity(universe.len()),
+            killed: CellSet::with_capacity(universe.len()),
+        };
+        for (i, val) in st.state.into_iter().enumerate() {
             match val {
                 CellVal::Reg(v) => {
-                    out.provides.insert(cell, v);
+                    out.provides[i] = Some(v);
+                    out.provided.insert(i);
                 }
                 CellVal::Clobbered => {
-                    out.killed.insert(cell);
+                    out.killed.insert(i);
                 }
                 CellVal::FromEntry => {}
             }
@@ -615,17 +652,12 @@ impl BlockCells {
         out
     }
 
-    /// `true` if the block neither provides nor kills `cell`: entry
-    /// availability (and the entry value) survives to the exit.
-    pub fn transparent(&self, cell: Cell) -> bool {
-        !self.provides.contains_key(&cell) && !self.killed.contains(&cell)
-    }
-
     /// The block-exit availability set for the given entry set: provided
     /// cells plus surviving entry cells.
-    pub fn flow(&self, entry: &BTreeSet<Cell>) -> BTreeSet<Cell> {
-        let mut out: BTreeSet<Cell> = self.provides.keys().copied().collect();
-        out.extend(entry.iter().copied().filter(|c| self.transparent(*c)));
+    pub fn flow(&self, entry: &CellSet) -> CellSet {
+        let mut out = entry.clone();
+        out.subtract(&self.killed);
+        out.union_with(&self.provided);
         out
     }
 }
@@ -648,9 +680,9 @@ pub struct LoopClobbers {
 
 impl LoopClobbers {
     /// Summarizes the stores and calls of the given blocks.
-    pub fn summarize(f: &MirFunction, body: &BTreeSet<BlockId>, addrs: &FnAddrs) -> LoopClobbers {
+    pub fn summarize(f: &MirFunction, body: &DenseSet<BlockId>, addrs: &FnAddrs) -> LoopClobbers {
         let mut c = LoopClobbers::default();
-        for &b in body {
+        for b in body.iter() {
             for inst in &f.block(b).insts {
                 match inst {
                     Inst::Store { addr, .. } => match addrs.info(*addr) {
@@ -939,7 +971,9 @@ mod tests {
         ]);
         let addrs = FnAddrs::analyze(&f);
         let cells = cell_universe(&f, &addrs);
-        assert_eq!(cells, BTreeSet::from([(0, 4), (1, 0)]));
+        assert_eq!(cells, [(0, 4), (1, 0)]);
+        assert_eq!(cell_index(&cells, (1, 0)), Some(1));
+        assert_eq!(cell_index(&cells, (1, 4)), None);
         assert_eq!(
             cell_info((0, 4)),
             AddrInfo::Exact {
@@ -951,7 +985,7 @@ mod tests {
 
     #[test]
     fn cell_state_tracks_provides_kills_and_revivals() {
-        let universe: BTreeSet<Cell> = BTreeSet::from([(0, 0), (0, 4), (1, 0)]);
+        let universe: Vec<Cell> = vec![(0, 0), (0, 4), (1, 0)];
         let f = func(vec![
             Inst::Addr {
                 dst: VReg(1),
@@ -1044,7 +1078,7 @@ mod tests {
 
     #[test]
     fn block_cells_summarize_and_flow() {
-        let universe: BTreeSet<Cell> = BTreeSet::from([(0, 0), (0, 4), (0, 8)]);
+        let universe: Vec<Cell> = vec![(0, 0), (0, 4), (0, 8)];
         // An unaligned store at byte 2 clobbers both words it straddles,
         // then (0,0) is re-provided by a store; (0,8) is never touched.
         let f = func(vec![
@@ -1070,12 +1104,13 @@ mod tests {
         let addrs = FnAddrs::analyze(&f);
         let model = MemoryModel::default();
         let cells = BlockCells::summarize(&f, BlockId(0), &universe, &addrs, &model);
-        assert_eq!(cells.provides.get(&(0, 0)), Some(&VReg(0)));
-        assert!(cells.killed.contains(&(0, 4)), "straddled word is killed");
-        assert!(cells.transparent((0, 8)));
-        let entry: BTreeSet<Cell> = BTreeSet::from([(0, 4), (0, 8)]);
+        // Dense indices: (0,0) is 0, (0,4) is 1, (0,8) is 2.
+        assert_eq!(cells.provides, [Some(VReg(0)), None, None]);
+        assert!(cells.killed.contains(1), "straddled word is killed");
+        assert!(!cells.provided.contains(2) && !cells.killed.contains(2));
+        let entry: CellSet = [1, 2].into_iter().collect();
         let out = cells.flow(&entry);
-        assert_eq!(out, BTreeSet::from([(0, 0), (0, 8)]));
+        assert_eq!(out.iter().collect::<Vec<_>>(), [0, 2]);
     }
 
     #[test]
@@ -1092,7 +1127,7 @@ mod tests {
             },
         ]);
         let addrs = FnAddrs::analyze(&f);
-        let body: BTreeSet<BlockId> = BTreeSet::from([BlockId(0)]);
+        let body: DenseSet<BlockId> = [BlockId(0)].into_iter().collect();
         let c = LoopClobbers::summarize(&f, &body, &addrs);
         let model = MemoryModel::default();
         assert!(c.clobbers(
@@ -1132,7 +1167,7 @@ mod tests {
             args: vec![],
         }]);
         let addrs = FnAddrs::analyze(&f);
-        let body: BTreeSet<BlockId> = BTreeSet::from([BlockId(0)]);
+        let body: DenseSet<BlockId> = [BlockId(0)].into_iter().collect();
         let c = LoopClobbers::summarize(&f, &body, &addrs);
         let program = Program {
             functions: vec![],

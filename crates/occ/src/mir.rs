@@ -275,6 +275,31 @@ impl Inst {
         }
     }
 
+    /// Calls `f` on every used register in [`Inst::uses`] order, without
+    /// allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
+        match self {
+            Inst::Const { .. } | Inst::Addr { .. } | Inst::FnAddr { .. } => {}
+            Inst::Copy { src, .. } | Inst::Un { src, .. } | Inst::Load { addr: src, .. } => f(*src),
+            Inst::Bin { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Inst::Store { addr, src } => {
+                f(*addr);
+                f(*src);
+            }
+            Inst::Call { args, .. } | Inst::CallExtern { args, .. } => {
+                args.iter().for_each(|a| f(*a));
+            }
+            Inst::CallInd { ptr, args, .. } => {
+                f(*ptr);
+                args.iter().for_each(|a| f(*a));
+            }
+            Inst::Phi { args, .. } => args.iter().for_each(|(_, v)| f(*v)),
+        }
+    }
+
     /// Rewrites every used register through `f` (φ-nodes included).
     pub fn map_uses(&mut self, f: &mut impl FnMut(VReg) -> VReg) {
         match self {
@@ -397,6 +422,33 @@ impl Term {
                 v
             }
             Term::Ret(_) => vec![],
+        }
+    }
+
+    /// The successor blocks in [`Term::succs`] order, without allocating.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (pair, cases, default): (_, &[(i32, BlockId)], _) = match self {
+            Term::Goto(b) => ([Some(*b), None], &[], None),
+            Term::Br {
+                then_block,
+                else_block,
+                ..
+            } => ([Some(*then_block), Some(*else_block)], &[], None),
+            Term::Switch { cases, default, .. } => ([None, None], cases, Some(*default)),
+            Term::Ret(_) => ([None, None], &[], None),
+        };
+        pair.into_iter()
+            .flatten()
+            .chain(cases.iter().map(|(_, b)| *b))
+            .chain(default)
+    }
+
+    /// The used register, if any: a terminator reads at most one, so
+    /// this is [`Term::uses`] without the allocation.
+    pub fn used(&self) -> Option<VReg> {
+        match self {
+            Term::Br { cond: v, .. } | Term::Switch { val: v, .. } | Term::Ret(Some(v)) => Some(*v),
+            Term::Goto(_) | Term::Ret(None) => None,
         }
     }
 
@@ -644,6 +696,107 @@ mod tests {
         };
         assert_eq!(t.succs(), vec![BlockId(1), BlockId(2), BlockId(3)]);
         assert_eq!(Term::Ret(None).succs(), vec![]);
+    }
+
+    /// One instance of every `Inst` variant, with distinct operands.
+    fn every_inst() -> Vec<Inst> {
+        let r = VReg;
+        vec![
+            Inst::Const {
+                dst: r(1),
+                value: 7,
+            },
+            Inst::Copy {
+                dst: r(1),
+                src: r(2),
+            },
+            Inst::Un {
+                op: UnOp::Neg,
+                dst: r(1),
+                src: r(3),
+            },
+            Inst::Bin {
+                op: BinOp::Sub,
+                dst: r(1),
+                lhs: r(4),
+                rhs: r(5),
+            },
+            Inst::Load {
+                dst: r(1),
+                addr: r(6),
+            },
+            Inst::Store {
+                addr: r(7),
+                src: r(8),
+            },
+            Inst::Addr {
+                dst: r(1),
+                global: 0,
+                offset: 4,
+            },
+            Inst::FnAddr { dst: r(1), func: 2 },
+            Inst::Call {
+                dst: Some(r(1)),
+                func: 0,
+                args: vec![r(9), r(10), r(9)],
+            },
+            Inst::Call {
+                dst: None,
+                func: 0,
+                args: vec![],
+            },
+            Inst::CallExtern {
+                dst: None,
+                ext: 1,
+                args: vec![r(11), r(12)],
+            },
+            Inst::CallInd {
+                dst: Some(r(1)),
+                ptr: r(13),
+                args: vec![r(14), r(15)],
+            },
+            Inst::Phi {
+                dst: r(1),
+                args: vec![(BlockId(2), r(16)), (BlockId(0), r(17))],
+            },
+        ]
+    }
+
+    #[test]
+    fn for_each_use_visits_exactly_uses_in_order() {
+        for inst in every_inst() {
+            let mut seen = Vec::new();
+            inst.for_each_use(|v| seen.push(v));
+            assert_eq!(seen, inst.uses(), "{inst:?}");
+        }
+    }
+
+    #[test]
+    fn term_iterators_match_the_allocating_forms() {
+        let terms = [
+            Term::Goto(BlockId(4)),
+            Term::Br {
+                cond: VReg(1),
+                then_block: BlockId(2),
+                else_block: BlockId(2),
+            },
+            Term::Switch {
+                val: VReg(3),
+                cases: vec![(1, BlockId(5)), (9, BlockId(1))],
+                default: BlockId(0),
+            },
+            Term::Switch {
+                val: VReg(3),
+                cases: vec![],
+                default: BlockId(6),
+            },
+            Term::Ret(Some(VReg(2))),
+            Term::Ret(None),
+        ];
+        for t in terms {
+            assert_eq!(t.successors().collect::<Vec<_>>(), t.succs(), "{t:?}");
+            assert_eq!(t.used().into_iter().collect::<Vec<_>>(), t.uses(), "{t:?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Every step of a function's run — each pass, [`simplify_cfg`],
 //! [`ssa::construct`] and [`ssa::destruct`] — shares one
 //! [`AnalysisCache`]: predecessors, reverse postorder and reachability,
-//! the dominator map, natural loops, dominance frontiers,
+//! the dominator table, natural loops, dominance frontiers,
 //! [`mem::FnAddrs`] and [`AvailLoads`], each computed on first use. No
 //! pass derives an analysis itself. Most pass runs change nothing, so
 //! most queries are hits: in a quiet sweep every memory pass and
@@ -207,11 +207,12 @@
 //! miscompile three passes later.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::analysis::{AnalysisCache, Changed};
 use crate::cfg;
+use crate::dense::{DenseMap, DenseSet, UseLists};
 use crate::mem;
 use crate::mir::{BinOp, Block, BlockId, Inst, MirFunction, Program, Term, UnOp, VReg, Word};
 use crate::ssa;
@@ -782,36 +783,33 @@ pub fn constant_fold(
     _model: &mem::MemoryModel,
     cache: &mut AnalysisCache,
 ) -> Changed {
-    let mut known: BTreeMap<VReg, i32> = BTreeMap::new();
+    let mut known: DenseMap<VReg, i32> = DenseMap::with_capacity(f.next_vreg as usize);
     let mut changed = false;
     // SSA: each def has one value; iterate to a fixpoint to flow through
     // φs and copies in any block order.
     loop {
         let mut grew = false;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            for inst in &f.block(b).insts {
+        for blk in &f.blocks {
+            for inst in &blk.insts {
                 let Some(dst) = inst.def() else { continue };
-                if known.contains_key(&dst) {
+                if known.contains_key(dst) {
                     continue;
                 }
                 let value = match inst {
                     Inst::Const { value, .. } => Some(*value),
-                    Inst::Copy { src, .. } => known.get(src).copied(),
-                    Inst::Un { op, src, .. } => known.get(src).map(|v| op.eval(*v)),
-                    Inst::Bin { op, lhs, rhs, .. } => match (known.get(lhs), known.get(rhs)) {
+                    Inst::Copy { src, .. } => known.get(*src).copied(),
+                    Inst::Un { op, src, .. } => known.get(*src).map(|v| op.eval(*v)),
+                    Inst::Bin { op, lhs, rhs, .. } => match (known.get(*lhs), known.get(*rhs)) {
                         (Some(a), Some(b)) => Some(op.eval(*a, *b)),
                         _ => None,
                     },
+                    // Constant when every argument is known and they agree.
                     Inst::Phi { args, .. } => {
-                        let vals: Option<BTreeSet<i32>> =
-                            args.iter().map(|(_, v)| known.get(v).copied()).collect();
-                        vals.and_then(|s| {
-                            if s.len() == 1 {
-                                s.into_iter().next()
-                            } else {
-                                None
-                            }
-                        })
+                        let mut vals = args.iter().map(|(_, v)| known.get(*v).copied());
+                        match vals.next() {
+                            Some(Some(first)) => vals.all(|v| v == Some(first)).then_some(first),
+                            _ => None,
+                        }
                     }
                     _ => None,
                 };
@@ -832,7 +830,7 @@ pub fn constant_fold(
         let blk = f.block_mut(b);
         for inst in &mut blk.insts {
             let Some(dst) = inst.def() else { continue };
-            if let Some(v) = known.get(&dst) {
+            if let Some(v) = known.get(dst) {
                 let replace = !matches!(inst, Inst::Const { .. })
                     && inst.is_pure()
                     && !matches!(inst, Inst::Load { .. });
@@ -848,7 +846,7 @@ pub fn constant_fold(
                 then_block,
                 else_block,
             } => {
-                if let Some(v) = known.get(cond) {
+                if let Some(v) = known.get(*cond) {
                     blk.term = Term::Goto(if *v != 0 { *then_block } else { *else_block });
                     changed = true;
                     folded_branch = true;
@@ -859,7 +857,7 @@ pub fn constant_fold(
                 cases,
                 default,
             } => {
-                if let Some(v) = known.get(val) {
+                if let Some(v) = known.get(*val) {
                     let target = cases
                         .iter()
                         .find(|(c, _)| c == v)
@@ -914,24 +912,31 @@ impl Lattice {
 
 /// Analysis state of one [`sccp`] run (the classic two-worklist scheme of
 /// Wegman & Zadeck: a *flow* worklist of CFG edges becoming executable
-/// and an *SSA* worklist of uses whose operand lattice dropped).
+/// and an *SSA* worklist of uses whose operand lattice dropped). Every
+/// table is dense: lattice values and use lists by register, executable
+/// blocks and incoming executable edges by block.
 struct SccpState<'a> {
     f: &'a MirFunction,
-    values: BTreeMap<VReg, Lattice>,
-    exec_edge: BTreeSet<(BlockId, BlockId)>,
-    exec_block: BTreeSet<BlockId>,
+    /// Lattice value per register (⊤ when never lowered).
+    values: Vec<Lattice>,
+    /// Per block, the predecessors whose edge into it is executable.
+    exec_in: Vec<Vec<BlockId>>,
+    exec_block: DenseSet<BlockId>,
     /// CFG edges newly marked executable, to propagate from.
     flow: Vec<(BlockId, BlockId)>,
     /// `(block, Some(inst index))` for an instruction re-evaluation,
     /// `(block, None)` for a terminator re-evaluation.
     ssa_work: Vec<(BlockId, Option<usize>)>,
-    inst_users: BTreeMap<VReg, Vec<(BlockId, usize)>>,
-    term_users: BTreeMap<VReg, Vec<BlockId>>,
+    inst_users: UseLists<VReg, (BlockId, usize)>,
+    term_users: UseLists<VReg, BlockId>,
 }
 
 impl SccpState<'_> {
     fn val(&self, v: VReg) -> Lattice {
-        self.values.get(&v).copied().unwrap_or(Lattice::Top)
+        self.values
+            .get(v.0 as usize)
+            .copied()
+            .unwrap_or(Lattice::Top)
     }
 
     /// Lowers `dst` to `meet(old, new)`; queues its users if it moved.
@@ -941,16 +946,16 @@ impl SccpState<'_> {
         if merged == old {
             return;
         }
-        self.values.insert(dst, merged);
-        if let Some(users) = self.inst_users.get(&dst) {
-            for &(b, i) in users {
-                self.ssa_work.push((b, Some(i)));
-            }
+        let i = dst.0 as usize;
+        if i >= self.values.len() {
+            self.values.resize(i + 1, Lattice::Top);
         }
-        if let Some(users) = self.term_users.get(&dst) {
-            for &b in users {
-                self.ssa_work.push((b, None));
-            }
+        self.values[i] = merged;
+        for &(b, i) in self.inst_users.get(dst) {
+            self.ssa_work.push((b, Some(i)));
+        }
+        for &b in self.term_users.get(dst) {
+            self.ssa_work.push((b, None));
         }
     }
 
@@ -970,10 +975,12 @@ impl SccpState<'_> {
                 (Lattice::Const(a), Lattice::Const(b)) => Lattice::Const(op.eval(a, b)),
                 _ => Lattice::Top,
             },
-            Inst::Phi { args, .. } => args
-                .iter()
-                .filter(|(p, _)| self.exec_edge.contains(&(*p, b)))
-                .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, self.val(*v))),
+            Inst::Phi { args, .. } => {
+                let exec_in = &self.exec_in[b.0 as usize];
+                args.iter()
+                    .filter(|(p, _)| exec_in.contains(p))
+                    .fold(Lattice::Top, |acc, (_, v)| Lattice::meet(acc, self.val(*v)))
+            }
             // Memory, addresses and call results are never constant here.
             Inst::Load { .. }
             | Inst::Addr { .. }
@@ -1041,7 +1048,9 @@ impl SccpState<'_> {
         self.visit_block(BlockId(0));
         loop {
             if let Some((p, s)) = self.flow.pop() {
-                if self.exec_edge.insert((p, s)) {
+                let exec_in = &mut self.exec_in[s.0 as usize];
+                if !exec_in.contains(&p) {
+                    exec_in.push(p);
                     if self.exec_block.insert(s) {
                         self.visit_block(s);
                     } else {
@@ -1057,7 +1066,7 @@ impl SccpState<'_> {
                 continue;
             }
             if let Some((b, oi)) = self.ssa_work.pop() {
-                if self.exec_block.contains(&b) {
+                if self.exec_block.contains(b) {
                     match oi {
                         Some(i) => self.visit_inst(b, i),
                         None => self.visit_term(b),
@@ -1081,28 +1090,29 @@ impl SccpState<'_> {
 /// [`fold_terminators`] would clean up afterwards), never-executable
 /// blocks are removed, and φ-arguments of dropped edges are pruned.
 pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut AnalysisCache) -> Changed {
+    let regs = f.next_vreg as usize;
     // Use lists, so lattice drops re-queue exactly the affected users.
-    let mut inst_users: BTreeMap<VReg, Vec<(BlockId, usize)>> = BTreeMap::new();
-    let mut term_users: BTreeMap<VReg, Vec<BlockId>> = BTreeMap::new();
-    for b in f.block_ids() {
-        for (i, inst) in f.block(b).insts.iter().enumerate() {
-            for u in inst.uses() {
-                inst_users.entry(u).or_default().push((b, i));
+    let inst_users = UseLists::build(regs, |emit| {
+        for b in f.block_ids() {
+            for (i, inst) in f.block(b).insts.iter().enumerate() {
+                inst.for_each_use(|u| emit(u, (b, i)));
             }
         }
-        for u in f.block(b).term.uses() {
-            term_users.entry(u).or_default().push(b);
+    });
+    let term_users = UseLists::build(regs, |emit| {
+        for b in f.block_ids() {
+            if let Some(u) = f.block(b).term.used() {
+                emit(u, b);
+            }
         }
-    }
-    let mut values: BTreeMap<VReg, Lattice> = BTreeMap::new();
-    for p in 0..f.params {
-        values.insert(VReg(p as u32), Lattice::Bottom);
-    }
+    });
+    let mut values = vec![Lattice::Top; regs.max(f.params)];
+    values[..f.params].fill(Lattice::Bottom);
     let mut state = SccpState {
         f,
         values,
-        exec_edge: BTreeSet::new(),
-        exec_block: BTreeSet::new(),
+        exec_in: vec![Vec::new(); f.blocks.len()],
+        exec_block: DenseSet::with_capacity(f.blocks.len()),
         flow: Vec::new(),
         ssa_work: Vec::new(),
         inst_users,
@@ -1112,15 +1122,19 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut Analysis
     let SccpState {
         values, exec_block, ..
     } = state;
+    let constant = |v: VReg| match values.get(v.0 as usize) {
+        Some(Lattice::Const(c)) => Some(*c),
+        _ => None,
+    };
 
     // Rewrite phase: executable blocks only; the rest are removed below.
     let mut changed = false;
     let mut folded_term = false;
-    for &b in &exec_block {
+    for b in exec_block.iter() {
         let blk = f.block_mut(b);
         for inst in &mut blk.insts {
             let Some(dst) = inst.def() else { continue };
-            let Some(Lattice::Const(c)) = values.get(&dst).copied() else {
+            let Some(c) = constant(dst) else {
                 continue;
             };
             if !matches!(inst, Inst::Const { .. }) && inst.is_pure() {
@@ -1134,8 +1148,8 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut Analysis
                 then_block,
                 else_block,
             } => {
-                if let Some(Lattice::Const(c)) = values.get(cond) {
-                    blk.term = Term::Goto(if *c != 0 { *then_block } else { *else_block });
+                if let Some(c) = constant(*cond) {
+                    blk.term = Term::Goto(if c != 0 { *then_block } else { *else_block });
                     changed = true;
                     folded_term = true;
                 }
@@ -1145,10 +1159,10 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut Analysis
                 cases,
                 default,
             } => {
-                if let Some(Lattice::Const(c)) = values.get(val) {
+                if let Some(c) = constant(*val) {
                     let target = cases
                         .iter()
-                        .find(|(k, _)| k == c)
+                        .find(|(k, _)| *k == c)
                         .map(|(_, t)| *t)
                         .unwrap_or(*default);
                     blk.term = Term::Goto(target);
@@ -1177,19 +1191,30 @@ pub fn sccp(f: &mut MirFunction, _model: &mem::MemoryModel, cache: &mut Analysis
 
 /// Drops φ-arguments whose predecessor edge no longer exists (after a
 /// branch was folded to a `Goto` the old arm's argument is stale), and
-/// deduplicates arguments per remaining predecessor. Keeps SSA form
-/// consistent for [`ssa::destruct`], which inserts one parallel copy per
-/// `(pred, block)` edge. Blocks left with a single predecessor have
-/// their φs folded to copies ([`ssa::fold_trivial_phis`]), preserving
-/// the verifier's φ-join discipline.
+/// deduplicates arguments per remaining predecessor. Duplicate entries
+/// only arise from collapsed duplicate edges (a folded equal-target `Br`,
+/// dropped `Switch` arms), where both slots carry the same renamed value,
+/// so keeping the first is sound. Keeps SSA form consistent for
+/// [`ssa::destruct`], which inserts one parallel copy per `(pred, block)`
+/// edge. Blocks left with a single predecessor have their φs folded to
+/// copies ([`ssa::fold_trivial_phis`]), preserving the verifier's
+/// φ/predecessor agreement and join discipline.
 fn prune_phi_args(f: &mut MirFunction, cache: &mut AnalysisCache) {
     let preds = cache.preds(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        for inst in &mut f.block_mut(b).insts {
+    let mut ps: DenseSet<BlockId> = DenseSet::with_capacity(f.blocks.len());
+    let mut seen: DenseSet<BlockId> = DenseSet::with_capacity(f.blocks.len());
+    for (blk, bp) in f.blocks.iter_mut().zip(preds.iter()) {
+        if !blk.insts.iter().any(|i| matches!(i, Inst::Phi { .. })) {
+            continue;
+        }
+        ps.clear();
+        bp.iter().for_each(|p| {
+            ps.insert(*p);
+        });
+        for inst in &mut blk.insts {
             if let Inst::Phi { args, .. } = inst {
-                let mut seen: BTreeSet<BlockId> = BTreeSet::new();
-                args.retain(|(p, _)| ps.contains(p) && seen.insert(*p));
+                seen.clear();
+                args.retain(|(p, _)| ps.contains(*p) && seen.insert(*p));
             }
         }
     }
@@ -1206,9 +1231,9 @@ pub fn copy_propagate(
     _model: &mem::MemoryModel,
     _cache: &mut AnalysisCache,
 ) -> Changed {
-    let mut alias: BTreeMap<VReg, VReg> = BTreeMap::new();
-    for b in f.block_ids().collect::<Vec<_>>() {
-        for inst in &f.block(b).insts {
+    let mut alias: DenseMap<VReg, VReg> = DenseMap::with_capacity(f.next_vreg as usize);
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             if let Inst::Copy { dst, src } = inst {
                 alias.insert(*dst, *src);
             }
@@ -1219,7 +1244,7 @@ pub fn copy_propagate(
     }
     let resolve = |mut v: VReg| {
         let mut hops = 0;
-        while let Some(&next) = alias.get(&v) {
+        while let Some(&next) = alias.get(v) {
             v = next;
             hops += 1;
             if hops > alias.len() {
@@ -1229,8 +1254,7 @@ pub fn copy_propagate(
         v
     };
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
+    for blk in &mut f.blocks {
         for inst in &mut blk.insts {
             inst.map_uses(&mut |v| {
                 let r = resolve(v);
@@ -1259,7 +1283,7 @@ pub fn copy_propagate(
 /// deliberately absent: re-materializing an immediate is as cheap as a
 /// copy, and CSE-ing constants would ping-pong with [`sccp`] (which
 /// rewrites known-value copies back into constants).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum GvnKey {
     Un(UnOp, VReg),
     Bin(BinOp, VReg, VReg),
@@ -1283,74 +1307,70 @@ pub fn gvn_cse(
 ) -> Changed {
     let idom = cache.dominators(f);
     let children = cfg::dominator_tree_children(&idom);
-    let mut table: BTreeMap<GvnKey, VReg> = BTreeMap::new();
-    let mut leader: BTreeMap<VReg, VReg> = BTreeMap::new();
-    let mut changed = false;
-    gvn_walk(
-        f,
-        BlockId(0),
-        &children,
-        &mut table,
-        &mut leader,
-        &mut changed,
-    );
-    Changed::insts_if(changed)
+    let mut gvn = Gvn {
+        table: HashMap::new(),
+        leader: DenseMap::with_capacity(f.next_vreg as usize),
+        changed: false,
+    };
+    gvn.walk(f, BlockId(0), &children);
+    Changed::insts_if(gvn.changed)
 }
 
-fn gvn_leader(leader: &BTreeMap<VReg, VReg>, v: VReg) -> VReg {
-    leader.get(&v).copied().unwrap_or(v)
+/// The state of one [`gvn_cse`] dominator-tree walk: the value table of
+/// the keys in scope, and each register's value leader.
+struct Gvn {
+    table: HashMap<GvnKey, VReg>,
+    leader: DenseMap<VReg, VReg>,
+    changed: bool,
 }
 
-fn gvn_walk(
-    f: &mut MirFunction,
-    b: BlockId,
-    children: &BTreeMap<BlockId, Vec<BlockId>>,
-    table: &mut BTreeMap<GvnKey, VReg>,
-    leader: &mut BTreeMap<VReg, VReg>,
-    changed: &mut bool,
-) {
-    // Keys this block introduced; they go out of scope (become
-    // non-dominating) when the walk leaves the block's subtree.
-    let mut added: Vec<GvnKey> = Vec::new();
-    for i in 0..f.block(b).insts.len() {
-        let inst = f.block(b).insts[i].clone();
-        let key = match &inst {
-            Inst::Copy { dst, src } => {
-                let l = gvn_leader(leader, *src);
-                leader.insert(*dst, l);
-                continue;
-            }
-            Inst::Un { op, src, .. } => Some(GvnKey::Un(*op, gvn_leader(leader, *src))),
-            Inst::Bin { op, lhs, rhs, .. } => {
-                let (mut a, mut c) = (gvn_leader(leader, *lhs), gvn_leader(leader, *rhs));
-                if op.commutative() && c < a {
-                    std::mem::swap(&mut a, &mut c);
+impl Gvn {
+    fn leader(&self, v: VReg) -> VReg {
+        self.leader.get(v).copied().unwrap_or(v)
+    }
+
+    fn walk(&mut self, f: &mut MirFunction, b: BlockId, children: &[Vec<BlockId>]) {
+        // Keys this block introduced; they go out of scope (become
+        // non-dominating) when the walk leaves the block's subtree.
+        let mut added: Vec<GvnKey> = Vec::new();
+        for inst in &mut f.block_mut(b).insts {
+            let key = match &*inst {
+                Inst::Copy { dst, src } => {
+                    let l = self.leader(*src);
+                    self.leader.insert(*dst, l);
+                    continue;
                 }
-                Some(GvnKey::Bin(*op, a, c))
+                Inst::Un { op, src, .. } => GvnKey::Un(*op, self.leader(*src)),
+                Inst::Bin { op, lhs, rhs, .. } => {
+                    let (mut a, mut c) = (self.leader(*lhs), self.leader(*rhs));
+                    if op.commutative() && c < a {
+                        std::mem::swap(&mut a, &mut c);
+                    }
+                    GvnKey::Bin(*op, a, c)
+                }
+                Inst::Addr { global, offset, .. } => GvnKey::Addr(*global, *offset),
+                Inst::FnAddr { func, .. } => GvnKey::FnAddr(*func),
+                _ => continue,
+            };
+            let Some(dst) = inst.def() else {
+                continue;
+            };
+            if let Some(&rep) = self.table.get(&key) {
+                *inst = Inst::Copy { dst, src: rep };
+                let l = self.leader(rep);
+                self.leader.insert(dst, l);
+                self.changed = true;
+            } else {
+                self.table.insert(key.clone(), dst);
+                added.push(key);
             }
-            Inst::Addr { global, offset, .. } => Some(GvnKey::Addr(*global, *offset)),
-            Inst::FnAddr { func, .. } => Some(GvnKey::FnAddr(*func)),
-            _ => None,
-        };
-        let (Some(key), Some(dst)) = (key, inst.def()) else {
-            continue;
-        };
-        if let Some(&rep) = table.get(&key) {
-            f.block_mut(b).insts[i] = Inst::Copy { dst, src: rep };
-            leader.insert(dst, gvn_leader(leader, rep));
-            *changed = true;
-        } else {
-            table.insert(key.clone(), dst);
-            added.push(key);
         }
-    }
-    if let Some(kids) = children.get(&b) {
-        for &k in kids {
-            gvn_walk(f, k, children, table, leader, changed);
+        for &k in &children[b.0 as usize] {
+            self.walk(f, k, children);
         }
-    }
-    for k in added {
-        table.remove(&k);
+        for k in added {
+            self.table.remove(&k);
+        }
     }
 }
 
@@ -1384,50 +1404,26 @@ pub fn store_load_forward(
     cache: &mut AnalysisCache,
 ) -> Changed {
     let addrs = cache.fn_addrs(f);
+    let universe = mem::cell_universe(f, &addrs);
+    if universe.is_empty() {
+        return Changed::Nothing;
+    }
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        // (global, offset) -> register holding that cell's content here.
-        let mut cells: BTreeMap<(usize, i32), VReg> = BTreeMap::new();
-        for inst in &mut f.block_mut(b).insts {
+    for blk in &mut f.blocks {
+        // The register holding each cell's content here, if any.
+        let mut st = mem::CellState::new(&universe);
+        for inst in &mut blk.insts {
             // Forward first: the rewrite must see the state *before* this
             // instruction's own definition invalidates anything.
             if let Inst::Load { dst, addr } = *inst {
                 if let mem::AddrInfo::Exact { global, offset } = addrs.info(addr) {
-                    if let Some(&v) = cells.get(&(global, offset)) {
+                    if let mem::CellVal::Reg(v) = st.value((global, offset)) {
                         *inst = Inst::Copy { dst, src: v };
                         changed = true;
                     }
                 }
             }
-            // A redefinition of a tracked value register makes the
-            // remembered content stale (only possible off SSA form).
-            if let Some(d) = inst.def() {
-                cells.retain(|_, v| *v != d);
-            }
-            match inst {
-                Inst::Load { dst, addr } => {
-                    if let mem::AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                        cells.insert((global, offset), *dst);
-                    }
-                }
-                Inst::Store { addr, src } => match addrs.info(*addr) {
-                    mem::AddrInfo::Exact { global, offset } => {
-                        // Accesses are words at byte granularity: the
-                        // store also corrupts any tracked cell within a
-                        // word of its offset.
-                        cells.retain(|&(g, o), _| g != global || !mem::overlaps(o, offset));
-                        cells.insert((global, offset), *src);
-                    }
-                    mem::AddrInfo::Base { global } => {
-                        cells.retain(|(g, _), _| *g != global);
-                    }
-                    mem::AddrInfo::Unknown => cells.clear(),
-                },
-                i if i.may_write_mem() => {
-                    cells.retain(|(g, _), _| model.is_rodata(*g));
-                }
-                _ => {}
-            }
+            st.apply(inst, &addrs, model);
         }
     }
     Changed::insts_if(changed)
@@ -1452,9 +1448,9 @@ pub fn dead_store_elim(
 ) -> Changed {
     let addrs = cache.fn_addrs(f);
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
-        let mut overwritten: BTreeSet<(usize, i32)> = BTreeSet::new();
+    let mut overwritten: Vec<mem::Cell> = Vec::new();
+    for blk in &mut f.blocks {
+        overwritten.clear();
         let mut kept_rev: Vec<Inst> = Vec::with_capacity(blk.insts.len());
         for inst in std::mem::take(&mut blk.insts).into_iter().rev() {
             match &inst {
@@ -1462,10 +1458,11 @@ pub fn dead_store_elim(
                     // Stores read no memory, so even an untraceable store
                     // leaves the overwritten set intact.
                     if let mem::AddrInfo::Exact { global, offset } = addrs.info(*addr) {
-                        if !overwritten.insert((global, offset)) {
+                        if overwritten.contains(&(global, offset)) {
                             changed = true;
                             continue; // dead: surely overwritten unread
                         }
+                        overwritten.push((global, offset));
                     }
                 }
                 Inst::Load { addr, .. } => match addrs.info(*addr) {
@@ -1501,37 +1498,39 @@ pub fn dead_store_elim(
 /// [`mem::BlockCells`] transfer summaries the sets were computed from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvailLoads {
-    universe: BTreeSet<mem::Cell>,
+    /// The sorted cell universe; the sets below hold dense indices into
+    /// it.
+    universe: Vec<mem::Cell>,
     effects: Vec<mem::BlockCells>,
-    avail_in: Vec<BTreeSet<mem::Cell>>,
-    avail_out: Vec<BTreeSet<mem::Cell>>,
+    avail_in: Vec<mem::CellSet>,
+    avail_out: Vec<mem::CellSet>,
 }
 
 impl AvailLoads {
-    /// The cell universe the analysis ranged over.
-    pub fn universe(&self) -> &BTreeSet<mem::Cell> {
+    /// The sorted cell universe the analysis ranged over.
+    pub fn universe(&self) -> &[mem::Cell] {
         &self.universe
     }
 
-    /// Cells available on entry to `b`.
-    pub fn on_entry(&self, b: BlockId) -> &BTreeSet<mem::Cell> {
-        &self.avail_in[b.0 as usize]
+    /// The dense index of `cell` in [`AvailLoads::universe`].
+    pub fn cell_index(&self, cell: mem::Cell) -> Option<usize> {
+        mem::cell_index(&self.universe, cell)
     }
 
-    /// Cells available at the exit of `b`.
-    pub fn at_exit(&self, b: BlockId) -> &BTreeSet<mem::Cell> {
-        &self.avail_out[b.0 as usize]
+    /// `true` if cell `c` (a dense index) is available on entry to `b`.
+    pub fn on_entry(&self, b: BlockId, c: usize) -> bool {
+        self.avail_in[b.0 as usize].contains(c)
     }
 
-    /// `true` if `cell` is available on the CFG edge `p → _` (edges
-    /// neither kill nor gen, so edge availability is the source block's
-    /// exit availability) — the per-edge query load-PRE partitions a
-    /// join's predecessors with.
-    pub fn on_edge(&self, p: BlockId, cell: mem::Cell) -> bool {
-        self.avail_out[p.0 as usize].contains(&cell)
+    /// `true` if cell `c` (a dense index) is available on the CFG edge
+    /// `p → _` (edges neither kill nor gen, so edge availability is the
+    /// source block's exit availability) — the per-edge query load-PRE
+    /// partitions a join's predecessors with.
+    pub fn on_edge(&self, p: BlockId, c: usize) -> bool {
+        self.avail_out[p.0 as usize].contains(c)
     }
 
-    /// The transfer summary of block `b`.
+    /// The transfer summary of block `b`, over dense cell indices.
     pub fn effects(&self, b: BlockId) -> &mem::BlockCells {
         &self.effects[b.0 as usize]
     }
@@ -1564,6 +1563,7 @@ pub fn avail_loads(
     let n = f.blocks.len();
     let addrs = cache.fn_addrs(f);
     let universe = mem::cell_universe(f, &addrs);
+    let cells = universe.len();
     let effects: Vec<mem::BlockCells> = f
         .block_ids()
         .map(|b| mem::BlockCells::summarize(f, b, &universe, &addrs, model))
@@ -1571,51 +1571,56 @@ pub fn avail_loads(
     let mut avail = AvailLoads {
         universe,
         effects,
-        avail_in: vec![BTreeSet::new(); n],
-        avail_out: vec![BTreeSet::new(); n],
+        avail_in: vec![mem::CellSet::with_capacity(cells); n],
+        avail_out: vec![mem::CellSet::with_capacity(cells); n],
     };
-    if avail.universe.is_empty() {
+    if cells == 0 {
         return avail;
     }
     let rpo = cache.rpo(f);
     let reachable = cache.reachable(f);
     let preds = cache.preds(f);
-    let header_clobbers: BTreeMap<BlockId, mem::LoopClobbers> = cache
-        .loops(f)
-        .iter()
-        .map(|lp| (lp.header, mem::LoopClobbers::summarize(f, &lp.body, &addrs)))
-        .collect();
+    // Per loop header: the cells its loop body leaves alone.
+    let mut header_survivors: Vec<Option<mem::CellSet>> = vec![None; n];
+    for lp in cache.loops(f).iter() {
+        let cl = mem::LoopClobbers::summarize(f, &lp.body, &addrs);
+        let survivors = avail
+            .universe
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| !cl.clobbers(mem::cell_info(c), model))
+            .map(|(i, _)| i)
+            .collect();
+        header_survivors[lp.header.0 as usize] = Some(survivors);
+    }
     for &b in rpo.iter() {
         if b != BlockId(0) {
-            avail.avail_out[b.0 as usize] = avail.universe.clone();
+            avail.avail_out[b.0 as usize] = mem::CellSet::full(cells);
         }
     }
     loop {
         let mut changed = false;
         for &b in rpo.iter() {
-            let mut in_set = BTreeSet::new();
+            let i = b.0 as usize;
+            let mut in_set = mem::CellSet::with_capacity(cells);
             if b != BlockId(0) {
-                let ps: BTreeSet<BlockId> = preds[b.0 as usize]
-                    .iter()
-                    .copied()
-                    .filter(|p| reachable.contains(p))
-                    .collect();
+                // Intersection is idempotent, so a predecessor listed
+                // twice (both arms of a `Br`) needs no deduplication.
                 let mut first = true;
-                for p in ps {
+                for &p in preds[i].iter().filter(|p| reachable.contains(**p)) {
                     let out = &avail.avail_out[p.0 as usize];
                     if first {
-                        in_set = out.clone();
+                        in_set.clone_from(out);
                         first = false;
                     } else {
-                        in_set.retain(|c| out.contains(c));
+                        in_set.intersect_with(out);
                     }
                 }
-                if let Some(cl) = header_clobbers.get(&b) {
-                    in_set.retain(|&c| !cl.clobbers(mem::cell_info(c), model));
+                if let Some(survivors) = &header_survivors[i] {
+                    in_set.intersect_with(survivors);
                 }
             }
-            let out_set = avail.effects[b.0 as usize].flow(&in_set);
-            let i = b.0 as usize;
+            let out_set = avail.effects[i].flow(&in_set);
             if in_set != avail.avail_in[i] || out_set != avail.avail_out[i] {
                 avail.avail_in[i] = in_set;
                 avail.avail_out[i] = out_set;
@@ -1637,50 +1642,63 @@ struct PendingPhi {
     args: Vec<(BlockId, VReg)>,
 }
 
+/// The distinct reachable predecessors of `b`, ascending.
+fn distinct_reachable_preds(
+    preds: &[Vec<BlockId>],
+    reachable: &DenseSet<BlockId>,
+    b: BlockId,
+) -> Vec<BlockId> {
+    let mut ps: Vec<BlockId> = preds[b.0 as usize]
+        .iter()
+        .copied()
+        .filter(|p| reachable.contains(*p))
+        .collect();
+    ps.sort_unstable();
+    ps.dedup();
+    ps
+}
+
 /// Shared state of the lazy cell-value resolution both cross-block
 /// passes use: memoized per-(block, cell) entry values and the φs
 /// allocated to merge differing predecessor values.
 struct LoadResolver<'a> {
     avail: &'a AvailLoads,
     preds: &'a [Vec<BlockId>],
-    reachable: &'a BTreeSet<BlockId>,
-    entry_memo: BTreeMap<(BlockId, mem::Cell), VReg>,
+    reachable: &'a DenseSet<BlockId>,
+    /// Entry value per `block * cells + cell index`.
+    entry_memo: Vec<Option<VReg>>,
     phis: Vec<PendingPhi>,
 }
 
 impl LoadResolver<'_> {
-    /// The register holding `cell`'s value on entry to `b`. Only valid
-    /// when the dataflow proved the cell available there; φs are
-    /// allocated at joins whose predecessors disagree, memoized *before*
-    /// the recursive argument resolution so loop back edges close on the
-    /// φ itself (Braun et al.'s on-demand construction).
-    fn entry_value(&mut self, f: &mut MirFunction, b: BlockId, cell: mem::Cell) -> VReg {
-        if let Some(&v) = self.entry_memo.get(&(b, cell)) {
+    /// The register holding cell `c`'s value (a dense index) on entry to
+    /// `b`. Only valid when the dataflow proved the cell available there;
+    /// φs are allocated at joins whose predecessors disagree, memoized
+    /// *before* the recursive argument resolution so loop back edges
+    /// close on the φ itself (Braun et al.'s on-demand construction).
+    fn entry_value(&mut self, f: &mut MirFunction, b: BlockId, c: usize) -> VReg {
+        let slot = b.0 as usize * self.avail.universe.len() + c;
+        if let Some(v) = self.entry_memo[slot] {
             return v;
         }
         debug_assert!(
-            self.avail.on_entry(b).contains(&cell),
-            "entry_value on unavailable cell {cell:?} at {b}"
+            self.avail.on_entry(b, c),
+            "entry_value on unavailable cell {:?} at {b}",
+            self.avail.universe[c]
         );
-        let ps: Vec<BlockId> = self.preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| self.reachable.contains(p))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let ps = distinct_reachable_preds(self.preds, self.reachable, b);
         debug_assert!(!ps.is_empty(), "available cell with no predecessor at {b}");
         if ps.len() == 1 {
-            let v = self.exit_value(f, ps[0], cell);
-            self.entry_memo.insert((b, cell), v);
+            let v = self.exit_value(f, ps[0], c);
+            self.entry_memo[slot] = Some(v);
             v
         } else {
             let dst = f.fresh();
-            self.entry_memo.insert((b, cell), dst);
+            self.entry_memo[slot] = Some(dst);
             let args: Vec<(BlockId, VReg)> = ps
                 .into_iter()
                 .map(|p| {
-                    let v = self.exit_value(f, p, cell);
+                    let v = self.exit_value(f, p, c);
                     (p, v)
                 })
                 .collect();
@@ -1693,14 +1711,14 @@ impl LoadResolver<'_> {
         }
     }
 
-    /// The register holding `cell`'s value at the exit of `p`: the
+    /// The register holding cell `c`'s value at the exit of `p`: the
     /// block's own provider if it has one, else the entry value carried
     /// through a transparent block.
-    fn exit_value(&mut self, f: &mut MirFunction, p: BlockId, cell: mem::Cell) -> VReg {
-        if let Some(&v) = self.avail.effects(p).provides.get(&cell) {
+    fn exit_value(&mut self, f: &mut MirFunction, p: BlockId, c: usize) -> VReg {
+        if let Some(v) = self.avail.effects(p).provides[c] {
             return v;
         }
-        self.entry_value(f, p, cell)
+        self.entry_value(f, p, c)
     }
 }
 
@@ -1712,10 +1730,10 @@ impl LoadResolver<'_> {
 struct CrossBlockCtx {
     addrs: Rc<mem::FnAddrs>,
     avail: Rc<AvailLoads>,
-    idom: Rc<BTreeMap<BlockId, BlockId>>,
+    idom: Rc<cfg::Idoms>,
     order: Vec<BlockId>,
     preds: Rc<Vec<Vec<BlockId>>>,
-    reachable: Rc<BTreeSet<BlockId>>,
+    reachable: Rc<DenseSet<BlockId>>,
 }
 
 impl CrossBlockCtx {
@@ -1750,32 +1768,57 @@ impl CrossBlockCtx {
             avail: &self.avail,
             preds: &self.preds,
             reachable: &self.reachable,
-            entry_memo: BTreeMap::new(),
+            entry_memo: vec![None; self.preds.len() * self.avail.universe.len()],
             phis: Vec::new(),
         }
+    }
+
+    /// The dense cell index of the exactly addressed cell `addr` points
+    /// at, with the cell.
+    fn exact_cell(&self, addr: VReg) -> Option<(usize, mem::Cell)> {
+        let mem::AddrInfo::Exact { global, offset } = self.addrs.info(addr) else {
+            return None;
+        };
+        let cell = (global, offset);
+        Some((self.avail.cell_index(cell)?, cell))
     }
 }
 
 /// The edits a cross-block pass accumulates before touching the
 /// function: loads to delete (with every use of their destination
 /// rewritten to the forwarded value), φs to materialize, instructions to
-/// append to predecessor blocks (load-PRE's compensating loads).
-#[derive(Default)]
+/// append to predecessor blocks (load-PRE's compensating loads). Block
+/// tables are indexed by block.
 struct LoadEdits {
     /// Replacements for deleted definitions (and collapsed φs); applied
     /// transitively to every use in the function.
-    repl: BTreeMap<VReg, VReg>,
-    /// `(block, instruction index)` of loads to delete.
-    delete: BTreeSet<(BlockId, usize)>,
+    repl: DenseMap<VReg, VReg>,
+    /// Per block, the instruction indices of loads to delete.
+    delete: Vec<DenseSet<usize>>,
     /// Instructions appended to the end of a block (before its
     /// terminator).
-    append: BTreeMap<BlockId, Vec<Inst>>,
+    append: Vec<Vec<Inst>>,
 }
 
 impl LoadEdits {
+    fn new(f: &MirFunction) -> LoadEdits {
+        LoadEdits {
+            repl: DenseMap::with_capacity(f.next_vreg as usize),
+            delete: vec![DenseSet::default(); f.blocks.len()],
+            append: vec![Vec::new(); f.blocks.len()],
+        }
+    }
+
+    /// Deletes load `i` of block `b`, its destination `dst` replaced by
+    /// `v`.
+    fn forward(&mut self, b: BlockId, i: usize, dst: VReg, v: VReg) {
+        self.delete[b.0 as usize].insert(i);
+        self.repl.insert(dst, v);
+    }
+
     fn resolve(&self, mut v: VReg) -> VReg {
         let mut hops = 0;
-        while let Some(&n) = self.repl.get(&v) {
+        while let Some(&n) = self.repl.get(v) {
             v = n;
             hops += 1;
             if hops > self.repl.len() {
@@ -1792,7 +1835,7 @@ impl LoadEdits {
     /// through the replacement map and appends the compensating
     /// instructions. Returns `true` if the function changed.
     fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) -> bool {
-        if self.delete.is_empty() && phis.is_empty() && self.append.is_empty() {
+        if self.repl.is_empty() && phis.is_empty() && self.append.iter().all(Vec::is_empty) {
             return false;
         }
         // Trivial-φ collapse to a fixed point: collapsing one φ can make
@@ -1800,14 +1843,15 @@ impl LoadEdits {
         loop {
             let mut collapsed = false;
             phis.retain(|phi| {
-                let distinct: BTreeSet<VReg> = phi
+                let mut distinct = phi
                     .args
                     .iter()
                     .map(|(_, v)| self.resolve(*v))
-                    .filter(|v| *v != phi.dst)
-                    .collect();
-                if distinct.len() == 1 {
-                    let only = *distinct.iter().next().expect("one element");
+                    .filter(|v| *v != phi.dst);
+                let Some(only) = distinct.next() else {
+                    return true;
+                };
+                if distinct.all(|v| v == only) {
                     self.repl.insert(phi.dst, only);
                     collapsed = true;
                     false
@@ -1819,32 +1863,29 @@ impl LoadEdits {
                 break;
             }
         }
-        let mut phi_by_block: BTreeMap<BlockId, Vec<Inst>> = BTreeMap::new();
+        let mut phi_by_block: Vec<Vec<Inst>> = vec![Vec::new(); f.blocks.len()];
         for phi in phis {
             let args = phi
                 .args
                 .iter()
                 .map(|&(p, v)| (p, self.resolve(v)))
                 .collect();
-            phi_by_block
-                .entry(phi.block)
-                .or_default()
-                .push(Inst::Phi { dst: phi.dst, args });
+            phi_by_block[phi.block.0 as usize].push(Inst::Phi { dst: phi.dst, args });
         }
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let tail = self.append.remove(&b).unwrap_or_default();
-            let blk = f.block_mut(b);
+        for (bi, blk) in f.blocks.iter_mut().enumerate() {
+            let tail = std::mem::take(&mut self.append[bi]);
             let old = std::mem::take(&mut blk.insts);
-            let mut insts = phi_by_block.remove(&b).unwrap_or_default();
+            let mut insts = std::mem::take(&mut phi_by_block[bi]);
             insts.reserve(old.len() + tail.len());
-            for (i, inst) in old.into_iter().enumerate() {
-                if !self.delete.contains(&(b, i)) {
-                    insts.push(inst);
-                }
-            }
+            let delete = &self.delete[bi];
+            insts.extend(
+                old.into_iter()
+                    .enumerate()
+                    .filter(|(i, _)| !delete.contains(*i))
+                    .map(|(_, inst)| inst),
+            );
             insts.extend(tail);
             blk.insts = insts;
-            let blk = f.block_mut(b);
             for inst in &mut blk.insts {
                 inst.map_uses(&mut |v| self.resolve(v));
             }
@@ -1883,27 +1924,21 @@ pub fn cross_block_forward(
         return Changed::Nothing;
     };
     let mut resolver = ctx.resolver();
-    let mut edits = LoadEdits::default();
+    let mut edits = LoadEdits::new(f);
     for &b in &ctx.order {
         let mut st = mem::CellState::new(ctx.avail.universe());
         for i in 0..f.block(b).insts.len() {
-            let load = match &f.block(b).insts[i] {
-                Inst::Load { dst, addr } => Some((*dst, *addr)),
-                _ => None,
-            };
-            if let Some((dst, addr)) = load {
-                if let mem::AddrInfo::Exact { global, offset } = ctx.addrs.info(addr) {
-                    let cell = (global, offset);
+            if let Inst::Load { dst, addr } = f.block(b).insts[i] {
+                if let Some((c, cell)) = ctx.exact_cell(addr) {
                     let forwarded = match st.value(cell) {
                         mem::CellVal::Reg(v) => Some(v),
-                        mem::CellVal::FromEntry if ctx.avail.on_entry(b).contains(&cell) => {
-                            Some(resolver.entry_value(f, b, cell))
+                        mem::CellVal::FromEntry if ctx.avail.on_entry(b, c) => {
+                            Some(resolver.entry_value(f, b, c))
                         }
                         _ => None,
                     };
                     if let Some(v) = forwarded {
-                        edits.delete.insert((b, i));
-                        edits.repl.insert(dst, v);
+                        edits.forward(b, i, dst, v);
                         st.set(cell, mem::CellVal::Reg(v));
                         continue;
                     }
@@ -1912,7 +1947,7 @@ pub fn cross_block_forward(
             st.apply(&f.block(b).insts[i], &ctx.addrs, model);
         }
     }
-    if edits.delete.is_empty() {
+    if edits.repl.is_empty() {
         return Changed::Nothing;
     }
     Changed::insts_if(edits.apply(f, resolver.phis))
@@ -1944,15 +1979,9 @@ pub fn load_pre(
         return Changed::Nothing;
     };
     let mut resolver = ctx.resolver();
-    let mut edits = LoadEdits::default();
+    let mut edits = LoadEdits::new(f);
     for &b in &ctx.order {
-        let ps: Vec<BlockId> = ctx.preds[b.0 as usize]
-            .iter()
-            .copied()
-            .filter(|p| ctx.reachable.contains(p))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let ps = distinct_reachable_preds(&ctx.preds, &ctx.reachable, b);
         // Diamond joins only: exactly two distinct forward predecessors.
         // A join one of whose edges is a back edge is a loop header —
         // compensating in the latch would reload every iteration.
@@ -1961,31 +1990,25 @@ pub fn load_pre(
         }
         let mut st = mem::CellState::new(ctx.avail.universe());
         for i in 0..f.block(b).insts.len() {
-            let load = match &f.block(b).insts[i] {
-                Inst::Load { dst, addr } => Some((*dst, *addr)),
-                _ => None,
-            };
-            if let Some((dst, addr)) = load {
-                if let mem::AddrInfo::Exact { global, offset } = ctx.addrs.info(addr) {
-                    let cell = (global, offset);
+            if let Inst::Load { dst, addr } = f.block(b).insts[i] {
+                if let Some((c, cell)) = ctx.exact_cell(addr) {
+                    let (global, offset) = cell;
                     // Only entry-state loads of half-available cells: the
                     // fully available case is cross_block_forward's, a
                     // locally provided value is store_load_forward's, and
                     // a locally clobbered cell cannot be compensated.
-                    if st.value(cell) == mem::CellVal::FromEntry
-                        && !ctx.avail.on_entry(b).contains(&cell)
-                    {
+                    if st.value(cell) == mem::CellVal::FromEntry && !ctx.avail.on_entry(b, c) {
                         let have: Vec<BlockId> = ps
                             .iter()
                             .copied()
-                            .filter(|&p| ctx.avail.on_edge(p, cell))
+                            .filter(|&p| ctx.avail.on_edge(p, c))
                             .collect();
                         if have.len() == 1 {
                             let miss = ps[usize::from(ps[0] == have[0])];
-                            let available = resolver.exit_value(f, have[0], cell);
+                            let available = resolver.exit_value(f, have[0], c);
                             let addr_reg = f.fresh();
                             let load_reg = f.fresh();
-                            edits.append.entry(miss).or_default().extend([
+                            edits.append[miss.0 as usize].extend([
                                 Inst::Addr {
                                     dst: addr_reg,
                                     global,
@@ -2002,8 +2025,7 @@ pub fn load_pre(
                                 dst: phi_dst,
                                 args: vec![(have[0], available), (miss, load_reg)],
                             });
-                            edits.delete.insert((b, i));
-                            edits.repl.insert(dst, phi_dst);
+                            edits.forward(b, i, dst, phi_dst);
                             st.set(cell, mem::CellVal::Reg(phi_dst));
                             continue;
                         }
@@ -2013,7 +2035,7 @@ pub fn load_pre(
             st.apply(&f.block(b).insts[i], &ctx.addrs, model);
         }
     }
-    if edits.delete.is_empty() {
+    if edits.repl.is_empty() {
         return Changed::Nothing;
     }
     Changed::insts_if(edits.apply(f, resolver.phis))
@@ -2117,9 +2139,10 @@ fn invariant_defs(
     lp: &cfg::NaturalLoop,
     model: &mem::MemoryModel,
     addrs: &mem::FnAddrs,
-) -> BTreeSet<VReg> {
-    let mut loop_def: BTreeMap<VReg, &Inst> = BTreeMap::new();
-    for &b in &lp.body {
+) -> DenseSet<VReg> {
+    let regs = f.next_vreg as usize;
+    let mut loop_def: DenseMap<VReg, &Inst> = DenseMap::with_capacity(regs);
+    for b in lp.body.iter() {
         for inst in &f.block(b).insts {
             if let Some(d) = inst.def() {
                 loop_def.insert(d, inst);
@@ -2135,22 +2158,22 @@ fn invariant_defs(
         _ => true,
     };
     // Fixpoint: everything that *could* move.
-    let mut hoistable: BTreeSet<VReg> = BTreeSet::new();
+    let mut hoistable: DenseSet<VReg> = DenseSet::with_capacity(regs);
     loop {
         let mut grew = false;
-        for inst in loop_def.values() {
+        for (_, &inst) in loop_def.iter() {
             if matches!(inst, Inst::Phi { .. }) || !inst.is_pure() || !load_movable(inst) {
                 continue;
             }
             let Some(d) = inst.def() else { continue };
-            if hoistable.contains(&d) {
+            if hoistable.contains(d) {
                 continue;
             }
-            if inst
-                .uses()
-                .iter()
-                .all(|u| !loop_def.contains_key(u) || hoistable.contains(u))
-            {
+            let mut movable = true;
+            inst.for_each_use(|u| {
+                movable &= !loop_def.contains_key(u) || hoistable.contains(u);
+            });
+            if movable {
                 hoistable.insert(d);
                 grew = true;
             }
@@ -2160,13 +2183,12 @@ fn invariant_defs(
         }
     }
     // Keep computations plus the operand chains feeding them.
-    let mut wanted: BTreeSet<VReg> = BTreeSet::new();
+    let mut wanted: DenseSet<VReg> = DenseSet::with_capacity(regs);
     let mut stack: Vec<VReg> = hoistable
         .iter()
-        .copied()
         .filter(|d| {
             matches!(
-                loop_def.get(d),
+                loop_def.get(*d),
                 Some(
                     Inst::Un { .. }
                         | Inst::Bin { .. }
@@ -2181,12 +2203,12 @@ fn invariant_defs(
         if !wanted.insert(v) {
             continue;
         }
-        if let Some(inst) = loop_def.get(&v) {
-            for u in inst.uses() {
-                if hoistable.contains(&u) {
+        if let Some(inst) = loop_def.get(v) {
+            inst.for_each_use(|u| {
+                if hoistable.contains(u) {
                     stack.push(u);
                 }
-            }
+            });
         }
     }
     wanted
@@ -2207,17 +2229,19 @@ fn ensure_preheader(
 ) -> Option<(BlockId, bool)> {
     let h = lp.header;
     let preds = cache.preds(f);
-    let outside: BTreeSet<BlockId> = preds[h.0 as usize]
+    let mut outside: Vec<BlockId> = preds[h.0 as usize]
         .iter()
         .copied()
         .filter(|p| !lp.contains(*p))
         .collect();
+    outside.sort_unstable();
+    outside.dedup();
     if outside.is_empty() {
         return None; // unreachable loop; nothing sound to do
     }
-    if outside.len() == 1 {
-        let p = *outside.iter().next().expect("one element");
-        if f.block(p).term.succs() == vec![h] {
+    if let [p] = outside[..] {
+        let mut succs = f.block(p).term.successors();
+        if succs.next() == Some(h) && succs.next().is_none() {
             return Some((p, false)); // already a dedicated preheader
         }
     }
@@ -2229,7 +2253,7 @@ fn ensure_preheader(
             continue;
         };
         // One argument per distinct outside predecessor (duplicate edges
-        // carry the same renamed value, as in `dedup_phi_args`).
+        // carry the same renamed value, as in `prune_phi_args`).
         let mut outside_args: Vec<(BlockId, VReg)> = Vec::new();
         for (p, v) in args {
             if !lp.contains(*p) && !outside_args.iter().any(|(q, _)| q == p) {
@@ -2275,7 +2299,7 @@ fn hoist_insts(
     f: &mut MirFunction,
     lp: &cfg::NaturalLoop,
     pre: BlockId,
-    hoist: &BTreeSet<VReg>,
+    hoist: &DenseSet<VReg>,
     cache: &mut AnalysisCache,
 ) {
     let order: Vec<BlockId> = cache
@@ -2290,7 +2314,7 @@ fn hoist_insts(
         let mut kept = Vec::with_capacity(blk.insts.len());
         for inst in std::mem::take(&mut blk.insts) {
             let hoisted =
-                !matches!(inst, Inst::Phi { .. }) && inst.def().is_some_and(|d| hoist.contains(&d));
+                !matches!(inst, Inst::Phi { .. }) && inst.def().is_some_and(|d| hoist.contains(d));
             if hoisted {
                 moved.push(inst);
             } else {
@@ -2423,31 +2447,10 @@ pub fn fold_terminators(
     }
 
     if changed {
-        dedup_phi_args(f, cache);
+        prune_phi_args(f, cache);
         ssa::remove_unreachable_blocks(f, cache);
     }
     Changed::cfg_if(changed)
-}
-
-/// Removes duplicate φ-arguments for the same predecessor. Duplicate
-/// entries only arise from collapsed duplicate edges (a folded
-/// equal-target `Br`, dropped `Switch` arms), where both slots carry the
-/// same renamed value, so keeping the first is sound. Also prunes
-/// arguments for edges the fold removed outright and folds φs of blocks
-/// down to one predecessor, keeping the verifier's φ/predecessor
-/// agreement and join discipline intact.
-fn dedup_phi_args(f: &mut MirFunction, cache: &mut AnalysisCache) {
-    let preds = cache.preds(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let ps: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        for inst in &mut f.block_mut(b).insts {
-            if let Inst::Phi { args, .. } = inst {
-                let mut seen: BTreeSet<BlockId> = BTreeSet::new();
-                args.retain(|(p, _)| ps.contains(p) && seen.insert(*p));
-            }
-        }
-    }
-    ssa::fold_trivial_phis(f, cache);
 }
 
 // ---------------------------------------------------------------------
@@ -2472,31 +2475,36 @@ pub fn dead_code_elim(
 ) -> Changed {
     // Operand lists of pure definitions; everything read by an impure
     // instruction or a terminator is a root.
-    let mut pure_uses: BTreeMap<VReg, Vec<VReg>> = BTreeMap::new();
-    let mut work: Vec<VReg> = Vec::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
-            match (inst.is_pure(), inst.def()) {
-                (true, Some(d)) => pure_uses.entry(d).or_default().extend(inst.uses()),
-                _ => work.extend(inst.uses()),
+    let regs = f.next_vreg as usize;
+    let pure_uses: UseLists<VReg, VReg> = UseLists::build(regs, |emit| {
+        for blk in &f.blocks {
+            for inst in &blk.insts {
+                if let (true, Some(d)) = (inst.is_pure(), inst.def()) {
+                    inst.for_each_use(|u| emit(d, u));
+                }
             }
         }
-        work.extend(f.block(b).term.uses());
+    });
+    let mut work: Vec<VReg> = Vec::new();
+    for blk in &f.blocks {
+        for inst in &blk.insts {
+            if !inst.is_pure() || inst.def().is_none() {
+                inst.for_each_use(|u| work.push(u));
+            }
+        }
+        work.extend(blk.term.used());
     }
-    let mut live: BTreeSet<VReg> = BTreeSet::new();
+    let mut live: DenseSet<VReg> = DenseSet::with_capacity(regs);
     while let Some(v) = work.pop() {
         if live.insert(v) {
-            if let Some(us) = pure_uses.get(&v) {
-                work.extend(us.iter().copied());
-            }
+            work.extend_from_slice(pure_uses.get(v));
         }
     }
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
+    for blk in &mut f.blocks {
         let before = blk.insts.len();
         blk.insts
-            .retain(|inst| !inst.is_pure() || inst.def().is_none_or(|d| live.contains(&d)));
+            .retain(|inst| !inst.is_pure() || inst.def().is_none_or(|d| live.contains(d)));
         changed |= blk.insts.len() != before;
     }
     Changed::insts_if(changed)
@@ -2524,20 +2532,22 @@ pub fn coalesce_copies(
     _cache: &mut AnalysisCache,
 ) -> Changed {
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut avail: BTreeMap<VReg, VReg> = BTreeMap::new();
-        let resolve = |avail: &BTreeMap<VReg, VReg>, mut v: VReg| {
-            let mut hops = 0;
-            while let Some(&n) = avail.get(&v) {
-                v = n;
-                hops += 1;
-                if hops > avail.len() {
-                    break; // defensive; invalidation prevents cycles
-                }
+    // The copies available at the current point of the block walk, as
+    // `(dst, src)`: a handful per block, so a list beats any table.
+    let mut avail: Vec<(VReg, VReg)> = Vec::new();
+    let resolve = |avail: &[(VReg, VReg)], mut v: VReg| {
+        let mut hops = 0;
+        while let Some(&(_, n)) = avail.iter().find(|(d, _)| *d == v) {
+            v = n;
+            hops += 1;
+            if hops > avail.len() {
+                break; // defensive; invalidation prevents cycles
             }
-            v
-        };
-        let blk = f.block_mut(b);
+        }
+        v
+    };
+    for blk in &mut f.blocks {
+        avail.clear();
         let mut kept: Vec<Inst> = Vec::with_capacity(blk.insts.len());
         for mut inst in std::mem::take(&mut blk.insts) {
             // φs (not expected in φ-free form, but defensive): their
@@ -2552,14 +2562,15 @@ pub fn coalesce_copies(
                 });
             }
             if let Some(d) = inst.def() {
-                avail.retain(|k, v| *k != d && *v != d);
+                avail.retain(|(k, v)| *k != d && *v != d);
             }
             if let Inst::Copy { dst, src } = inst {
                 if dst == src {
                     changed = true;
                     continue; // no-op copy
                 }
-                avail.insert(dst, src);
+                // `dst`'s old entry went with the retain above.
+                avail.push((dst, src));
             }
             kept.push(inst);
         }
@@ -2578,22 +2589,25 @@ pub fn coalesce_copies(
     // job); the backward in-block walk keeps the check precise on
     // non-SSA code, where a register is redefined many times.
     let live = cfg::liveness(f);
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut live_now = live.live_out[b.0 as usize].clone();
-        live_now.extend(f.block(b).term.uses());
-        let blk = f.block_mut(b);
+    for (blk, live_out) in f.blocks.iter_mut().zip(&live.live_out) {
+        let mut live_now = live_out.clone();
+        if let Some(u) = blk.term.used() {
+            live_now.insert(u);
+        }
         let mut kept_rev: Vec<Inst> = Vec::with_capacity(blk.insts.len());
         for inst in std::mem::take(&mut blk.insts).into_iter().rev() {
             if let Inst::Copy { dst, .. } = inst {
-                if !live_now.contains(&dst) {
+                if !live_now.contains(dst) {
                     changed = true;
                     continue;
                 }
             }
             if let Some(d) = inst.def() {
-                live_now.remove(&d);
+                live_now.remove(d);
             }
-            live_now.extend(inst.uses());
+            inst.for_each_use(|u| {
+                live_now.insert(u);
+            });
             kept_rev.push(inst);
         }
         kept_rev.reverse();
@@ -2639,10 +2653,10 @@ pub fn merge_return_blocks(
         // including a *re*definition of an already-seen register — takes
         // a fresh id from a monotonic counter (`local.len()` would stall
         // on redefinitions and hand a later register a colliding id).
-        let mut local: BTreeMap<VReg, u32> = BTreeMap::new();
+        let mut local: DenseMap<VReg, u32> = DenseMap::with_capacity(0);
         let mut next_id = 0u32;
-        let canon = |local: &BTreeMap<VReg, u32>, v: VReg| {
-            local.get(&v).map(|i| VReg(u32::MAX - i)).unwrap_or(v)
+        let canon = |local: &DenseMap<VReg, u32>, v: VReg| {
+            local.get(v).map(|i| VReg(u32::MAX - i)).unwrap_or(v)
         };
         let mut parts: Vec<String> = Vec::with_capacity(blk.insts.len() + 1);
         for inst in &blk.insts {
@@ -2663,19 +2677,17 @@ pub fn merge_return_blocks(
         parts.push(format!("{t:?}"));
         groups.entry(parts.join(";")).or_default().push(b);
     }
-    let mut redirect: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-    for blocks in groups.values() {
-        for &dup in &blocks[1..] {
-            redirect.insert(dup, blocks[0]);
-        }
-    }
-    if redirect.is_empty() {
+    if groups.values().all(|blocks| blocks.len() == 1) {
         return Changed::Nothing;
     }
-    for b in f.block_ids().collect::<Vec<_>>() {
-        f.block_mut(b)
-            .term
-            .map_succs(&mut |s| redirect.get(&s).copied().unwrap_or(s));
+    let mut redirect: Vec<BlockId> = f.block_ids().collect();
+    for blocks in groups.values() {
+        for &dup in &blocks[1..] {
+            redirect[dup.0 as usize] = blocks[0];
+        }
+    }
+    for blk in &mut f.blocks {
+        blk.term.map_succs(&mut |s| redirect[s.0 as usize]);
     }
     cache.invalidate(Changed::Cfg);
     ssa::remove_unreachable_blocks(f, cache);
@@ -2695,11 +2707,8 @@ pub fn simplify_cfg(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
         let mut changed = ssa::remove_unreachable_blocks(f, cache);
 
         // Thread jumps through empty forwarding blocks.
-        let mut forward: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-        for b in f.block_ids() {
-            if b == BlockId(0) {
-                continue;
-            }
+        let mut forward: DenseMap<BlockId, BlockId> = DenseMap::with_capacity(f.blocks.len());
+        for b in f.block_ids().skip(1) {
             let blk = f.block(b);
             if blk.insts.is_empty() {
                 if let Term::Goto(t) = blk.term {
@@ -2713,7 +2722,7 @@ pub fn simplify_cfg(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
             let mut threaded = false;
             let resolve = |mut b: BlockId| {
                 let mut hops = 0;
-                while let Some(&n) = forward.get(&b) {
+                while let Some(&n) = forward.get(b) {
                     b = n;
                     hops += 1;
                     if hops > forward.len() {
@@ -2722,16 +2731,14 @@ pub fn simplify_cfg(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
                 }
                 b
             };
-            for b in f.block_ids().collect::<Vec<_>>() {
-                let mut term = f.block(b).term.clone();
-                term.map_succs(&mut |s| {
+            for blk in &mut f.blocks {
+                blk.term.map_succs(&mut |s| {
                     let r = resolve(s);
                     if r != s {
                         threaded = true;
                     }
                     r
                 });
-                f.block_mut(b).term = term;
             }
             cache.invalidate(Changed::cfg_if(threaded));
             changed |= threaded;
@@ -2744,15 +2751,15 @@ pub fn simplify_cfg(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
         // throughout the sweep because merging only moves an edge's
         // origin, never adds or removes edges.
         let preds = cache.preds(f);
-        let mut consumed: BTreeSet<BlockId> = BTreeSet::new();
-        for b in f.block_ids().collect::<Vec<_>>() {
-            if consumed.contains(&b) {
+        let mut consumed: DenseSet<BlockId> = DenseSet::with_capacity(f.blocks.len());
+        for b in f.block_ids() {
+            if consumed.contains(b) {
                 continue;
             }
             while let Term::Goto(c) = f.block(b).term {
                 if c == b
                     || c == BlockId(0)
-                    || consumed.contains(&c)
+                    || consumed.contains(c)
                     || preds[c.0 as usize].len() != 1
                 {
                     break;
@@ -2948,6 +2955,7 @@ pub fn dead_function_elimination(program: &mut Program) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::mir::{BinOp, Block, GlobalData};
+    use std::collections::BTreeSet;
 
     /// The conservative memory model unit tests drive bare functions
     /// with: no globals known, everything treated as mutable.
@@ -3906,7 +3914,7 @@ mod tests {
         let loops = cfg::natural_loops(&f);
         assert_eq!(loops.len(), 1, "{f}");
         // The multiplication left the loop body...
-        for &b in &loops[0].body {
+        for b in loops[0].body.iter() {
             for inst in &f.block(b).insts {
                 assert!(
                     !matches!(inst, Inst::Bin { op: BinOp::Mul, .. }),
@@ -3933,7 +3941,7 @@ mod tests {
         assert!(!licm(&mut f, &md(), &mut AnalysisCache::new()).any(), "{f}");
         // And the loop-varying add stayed put.
         let body_has_add = loops[0].body.iter().any(|b| {
-            f.block(*b)
+            f.block(b)
                 .insts
                 .iter()
                 .any(|i| matches!(i, Inst::Bin { op: BinOp::Add, .. }))
@@ -3956,7 +3964,7 @@ mod tests {
         let loops = cfg::natural_loops(&f);
         assert_eq!(loops.len(), 1);
         let body_has_load = loops[0].body.iter().any(|b| {
-            f.block(*b)
+            f.block(b)
                 .insts
                 .iter()
                 .any(|i| matches!(i, Inst::Load { .. }))
@@ -4071,7 +4079,7 @@ mod tests {
         }
         // The invariant Mul is out of every loop.
         for lp in cfg::natural_loops(&f) {
-            for &b in &lp.body {
+            for b in lp.body.iter() {
                 assert!(
                     !f.block(b)
                         .insts
@@ -5033,15 +5041,17 @@ mod tests {
         let avail = avail_loads(&f, &md(), &mut AnalysisCache::new());
         let cell = (0usize, 0i32);
         assert!(avail.universe().contains(&cell));
+        let c = avail.cell_index(cell).expect("in the universe");
         // Stored on the then-arm only: available at its exit, not at the
         // else-arm's, so the join entry set is empty.
-        assert!(avail.on_edge(BlockId(1), cell));
-        assert!(!avail.on_edge(BlockId(2), cell));
-        assert!(!avail.on_entry(BlockId(3)).contains(&cell));
+        assert!(avail.on_edge(BlockId(1), c));
+        assert!(!avail.on_edge(BlockId(2), c));
+        assert!(!avail.on_entry(BlockId(3), c));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
         let avail2 = avail_loads(&f2, &md(), &mut AnalysisCache::new());
-        assert!(avail2.on_entry(BlockId(3)).contains(&cell));
+        let c2 = avail2.cell_index(cell).expect("in the universe");
+        assert!(avail2.on_entry(BlockId(3), c2));
     }
 
     #[test]
@@ -5334,7 +5344,7 @@ mod tests {
     fn loads_in_loop_bodies(f: &MirFunction) -> usize {
         let mut in_loops: BTreeSet<BlockId> = BTreeSet::new();
         for lp in cfg::natural_loops(f) {
-            in_loops.extend(lp.body.iter().copied());
+            in_loops.extend(lp.body.iter());
         }
         in_loops
             .iter()

@@ -6,11 +6,9 @@
 //! registers, then a dominator-tree walk renames versions. Destruction
 //! splits critical edges and lowers φs to staged parallel copies.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
 use crate::analysis::{AnalysisCache, Changed};
 use crate::cfg;
+use crate::dense::{DenseSet, UseLists};
 use crate::mir::{Block, BlockId, Inst, MirFunction, Term, VReg};
 
 /// Converts a function into SSA form (φ-nodes appear in block headers),
@@ -26,68 +24,68 @@ pub fn construct(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
     let preds = cache.preds(f);
     let df = cache.frontiers(f);
     let idom = cache.dominators(f);
+    let regs = f.next_vreg as usize;
 
-    // Definition sites per register.
-    let mut defsites: BTreeMap<VReg, BTreeSet<BlockId>> = BTreeMap::new();
-    let mut def_count: BTreeMap<VReg, usize> = BTreeMap::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
-            if let Some(d) = inst.def() {
-                defsites.entry(d).or_default().insert(b);
-                *def_count.entry(d).or_default() += 1;
+    // Definition sites per register, one entry per definition (so a
+    // list's length is the definition count), in ascending block order;
+    // parameters are defined at entry.
+    let defsites: UseLists<VReg, BlockId> = UseLists::build(regs, |emit| {
+        for p in 0..f.params {
+            emit(VReg(p as u32), BlockId(0));
+        }
+        for b in f.block_ids() {
+            for inst in &f.block(b).insts {
+                if let Some(d) = inst.def() {
+                    emit(d, b);
+                }
             }
         }
-    }
-    // Parameters are defined at entry.
-    for p in 0..f.params {
-        defsites
-            .entry(VReg(p as u32))
-            .or_default()
-            .insert(BlockId(0));
-        *def_count.entry(VReg(p as u32)).or_default() += 1;
-    }
+    });
 
     // φ placement at iterated dominance frontiers for registers with more
-    // than one definition site or several definitions.
-    let mut phis: BTreeMap<BlockId, BTreeMap<VReg, usize>> = BTreeMap::new();
-    for (v, sites) in &defsites {
-        if def_count[v] <= 1 && sites.len() <= 1 {
-            continue;
+    // than one definition site or several definitions. Registers are
+    // visited in ascending order, so each block's φ list is ascending.
+    let mut phis: Vec<Vec<VReg>> = vec![Vec::new(); f.blocks.len()];
+    let mut placed: DenseSet<BlockId> = DenseSet::with_capacity(f.blocks.len());
+    let mut work: Vec<BlockId> = Vec::new();
+    for v in (0..defsites.len()).map(|i| VReg(i as u32)) {
+        let sites = defsites.get(v);
+        if sites.len() <= 1 {
+            continue; // one definition, hence one site
         }
-        let mut work: Vec<BlockId> = sites.iter().copied().collect();
-        let mut placed: BTreeSet<BlockId> = BTreeSet::new();
+        work.clear();
+        work.extend(sites);
+        work.dedup();
+        placed.clear();
         while let Some(b) = work.pop() {
-            let Some(frontier) = df.get(&b) else { continue };
-            for &y in frontier {
+            for &y in &df[b.0 as usize] {
                 if placed.insert(y) {
-                    let idx = f.block(y).insts.len();
-                    let _ = idx;
-                    let entry = phis.entry(y).or_default();
-                    entry.insert(*v, preds[y.0 as usize].len());
+                    phis[y.0 as usize].push(v);
                     work.push(y);
                 }
             }
         }
     }
-    for (b, vars) in &phis {
-        let block_preds = &preds[b.0 as usize];
-        let mut new_insts: Vec<Inst> = Vec::new();
-        for v in vars.keys() {
-            new_insts.push(Inst::Phi {
-                dst: *v,
-                args: block_preds.iter().map(|p| (*p, *v)).collect(),
-            });
+    for (b, vars) in phis.iter().enumerate() {
+        if vars.is_empty() {
+            continue;
         }
-        let blk = f.block_mut(*b);
-        new_insts.append(&mut blk.insts);
-        blk.insts = new_insts;
+        let block_preds = &preds[b];
+        let blk = &mut f.blocks[b];
+        let mut insts: Vec<Inst> = Vec::with_capacity(vars.len() + blk.insts.len());
+        insts.extend(vars.iter().map(|&v| Inst::Phi {
+            dst: v,
+            args: block_preds.iter().map(|p| (*p, v)).collect(),
+        }));
+        insts.append(&mut blk.insts);
+        blk.insts = insts;
     }
 
     // Renaming: dominator-tree walk with version stacks.
     let children = cfg::dominator_tree_children(&idom);
-    let mut stacks: BTreeMap<VReg, Vec<VReg>> = BTreeMap::new();
+    let mut stacks = VersionStacks::new(regs);
     for p in 0..f.params {
-        stacks.insert(VReg(p as u32), vec![VReg(p as u32)]);
+        stacks.push(VReg(p as u32), VReg(p as u32));
     }
 
     rename(f, BlockId(0), &children, &mut stacks, &preds);
@@ -100,31 +98,34 @@ pub fn construct(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
     // strict (every use dominated by a def, the `crate::verify`
     // contract): the zero is only observable on paths where the source
     // program never reads the variable anyway.
-    let mut defined: BTreeSet<VReg> = (0..f.params as u32).map(VReg).collect();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
+    let regs = f.next_vreg as usize;
+    let mut defined: DenseSet<VReg> = DenseSet::with_capacity(regs);
+    for p in 0..f.params {
+        defined.insert(VReg(p as u32));
+    }
+    for blk in &f.blocks {
+        for inst in &blk.insts {
             if let Some(d) = inst.def() {
                 defined.insert(d);
             }
         }
     }
-    let mut dangling: BTreeSet<VReg> = BTreeSet::new();
-    for b in f.block_ids() {
-        for inst in &f.block(b).insts {
-            dangling.extend(inst.uses().into_iter().filter(|u| !defined.contains(u)));
+    let mut dangling: DenseSet<VReg> = DenseSet::with_capacity(regs);
+    let mut note = |u: VReg| {
+        if !defined.contains(u) {
+            dangling.insert(u);
         }
-        dangling.extend(
-            f.block(b)
-                .term
-                .uses()
-                .into_iter()
-                .filter(|u| !defined.contains(u)),
-        );
+    };
+    for blk in &f.blocks {
+        for inst in &blk.insts {
+            inst.for_each_use(&mut note);
+        }
+        blk.term.used().into_iter().for_each(&mut note);
     }
     if !dangling.is_empty() {
         let entry = f.block_mut(BlockId(0));
         let mut prefix: Vec<Inst> = dangling
-            .into_iter()
+            .iter()
             .map(|dst| Inst::Const { dst, value: 0 })
             .collect();
         prefix.append(&mut entry.insts);
@@ -159,12 +160,11 @@ pub fn construct(f: &mut MirFunction, cache: &mut AnalysisCache) -> Changed {
 pub fn fold_trivial_phis(f: &mut MirFunction, cache: &mut AnalysisCache) -> bool {
     let preds = cache.preds(f);
     let mut changed = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let distinct: BTreeSet<BlockId> = preds[b.0 as usize].iter().copied().collect();
-        if distinct.len() >= 2 {
-            continue;
+    for (blk, ps) in f.blocks.iter_mut().zip(preds.iter()) {
+        if ps.iter().any(|p| *p != ps[0]) {
+            continue; // two or more distinct predecessors: a real join
         }
-        for inst in &mut f.block_mut(b).insts {
+        for inst in &mut blk.insts {
             if let Inst::Phi { dst, args } = inst {
                 if let [(_, src)] = args[..] {
                     *inst = Inst::Copy { dst: *dst, src };
@@ -177,84 +177,100 @@ pub fn fold_trivial_phis(f: &mut MirFunction, cache: &mut AnalysisCache) -> bool
     changed
 }
 
-fn top(stacks: &BTreeMap<VReg, Vec<VReg>>, v: VReg) -> VReg {
-    stacks.get(&v).and_then(|s| s.last()).copied().unwrap_or(v)
+/// The renaming walk's version stacks, one per pre-SSA register, kept as
+/// a current-version table plus an undo log: a definition records the
+/// version it shadows, and leaving a block restores the log to its depth
+/// on entry.
+struct VersionStacks {
+    top: Vec<Option<VReg>>,
+    undo: Vec<(VReg, Option<VReg>)>,
+}
+
+impl VersionStacks {
+    fn new(regs: usize) -> VersionStacks {
+        VersionStacks {
+            top: vec![None; regs],
+            undo: Vec::new(),
+        }
+    }
+
+    /// The current version of `v` (`v` itself when none is live).
+    fn top(&self, v: VReg) -> VReg {
+        self.top.get(v.0 as usize).copied().flatten().unwrap_or(v)
+    }
+
+    fn push(&mut self, v: VReg, version: VReg) {
+        let i = v.0 as usize;
+        if i >= self.top.len() {
+            self.top.resize(i + 1, None);
+        }
+        self.undo.push((v, self.top[i].replace(version)));
+    }
+
+    fn pop_to(&mut self, depth: usize) {
+        while self.undo.len() > depth {
+            let (v, prev) = self.undo.pop().expect("above depth");
+            self.top[v.0 as usize] = prev;
+        }
+    }
 }
 
 fn rename(
     f: &mut MirFunction,
     b: BlockId,
-    children: &BTreeMap<BlockId, Vec<BlockId>>,
-    stacks: &mut BTreeMap<VReg, Vec<VReg>>,
+    children: &[Vec<BlockId>],
+    stacks: &mut VersionStacks,
     preds: &[Vec<BlockId>],
 ) {
-    let mut pushed: Vec<VReg> = Vec::new();
+    let depth = stacks.undo.len();
 
-    // Rewrite instructions.
-    let insts_len = f.block(b).insts.len();
-    for i in 0..insts_len {
-        let is_phi = matches!(f.block(b).insts[i], Inst::Phi { .. });
-        if !is_phi {
-            let mut inst = f.block(b).insts[i].clone();
-            inst.map_uses(&mut |v| top(stacks, v));
-            f.block_mut(b).insts[i] = inst;
+    // Rewrite instructions in place.
+    let MirFunction {
+        blocks, next_vreg, ..
+    } = f;
+    let blk = &mut blocks[b.0 as usize];
+    for inst in &mut blk.insts {
+        if !matches!(inst, Inst::Phi { .. }) {
+            inst.map_uses(&mut |v| stacks.top(v));
         }
         // Redefine the destination with a fresh version.
-        if let Some(d) = f.block(b).insts[i].def() {
-            let fresh = f.fresh();
-            if let Some(dst) = f.block_mut(b).insts[i].def_mut() {
-                *dst = fresh;
-            }
-            stacks.entry(d).or_default().push(fresh);
-            pushed.push(d);
+        if let Some(dst) = inst.def_mut() {
+            let fresh = VReg(*next_vreg);
+            *next_vreg += 1;
+            stacks.push(*dst, fresh);
+            *dst = fresh;
         }
     }
-    {
-        let mut term = f.block(b).term.clone();
-        term.map_uses(&mut |v| top(stacks, v));
-        f.block_mut(b).term = term;
-    }
+    blk.term.map_uses(&mut |v| stacks.top(v));
 
     // Fill φ arguments of successors. A block can appear several times in
     // a successor's predecessor list (e.g. a `Br` whose arms share a
     // target), so every matching slot must be filled — filling only the
     // first would leave stale pre-SSA registers in the later slots.
-    for s in f.block(b).term.succs() {
-        let pred_indices: Vec<usize> = preds[s.0 as usize]
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == b)
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            !pred_indices.is_empty(),
-            "b is a predecessor of its successor"
-        );
-        let insts_len = f.block(s).insts.len();
-        for i in 0..insts_len {
-            for &pred_index in &pred_indices {
-                let Inst::Phi { args, .. } = &f.block(s).insts[i] else {
-                    continue;
-                };
-                let original = args[pred_index].1;
-                let renamed = top(stacks, original);
-                if let Inst::Phi { args, .. } = &mut f.block_mut(s).insts[i] {
-                    args[pred_index] = (b, renamed);
+    for k in 0.. {
+        let next = blocks[b.0 as usize].term.successors().nth(k);
+        let Some(s) = next else { break };
+        let slots = &preds[s.0 as usize];
+        assert!(slots.contains(&b), "b is a predecessor of its successor");
+        for inst in &mut blocks[s.0 as usize].insts {
+            let Inst::Phi { args, .. } = inst else {
+                continue;
+            };
+            for (slot, p) in slots.iter().enumerate() {
+                if *p == b {
+                    let renamed = stacks.top(args[slot].1);
+                    args[slot] = (b, renamed);
                 }
             }
         }
     }
 
     // Recurse into dominator-tree children.
-    if let Some(kids) = children.get(&b) {
-        for &k in kids {
-            rename(f, k, children, stacks, preds);
-        }
+    for &k in &children[b.0 as usize] {
+        rename(f, k, children, stacks, preds);
     }
 
-    for v in pushed {
-        stacks.get_mut(&v).expect("pushed").pop();
-    }
+    stacks.pop_to(depth);
 }
 
 /// Removes blocks unreachable from the entry, remapping ids. Returns
@@ -266,21 +282,23 @@ pub fn remove_unreachable_blocks(f: &mut MirFunction, cache: &mut AnalysisCache)
     if reach.len() == f.blocks.len() {
         return false;
     }
-    let mut remap: BTreeMap<BlockId, BlockId> = BTreeMap::new();
-    let mut new_blocks = Vec::new();
-    for b in f.block_ids() {
-        if reach.contains(&b) {
-            remap.insert(b, BlockId(new_blocks.len() as u32));
-            new_blocks.push(f.block(b).clone());
+    let mut remap: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+    let mut new_blocks = Vec::with_capacity(reach.len());
+    for (i, blk) in std::mem::take(&mut f.blocks).into_iter().enumerate() {
+        if reach.contains(BlockId(i as u32)) {
+            remap[i] = Some(BlockId(new_blocks.len() as u32));
+            new_blocks.push(blk);
         }
     }
+    let to = |b: BlockId| remap[b.0 as usize];
     for blk in &mut new_blocks {
-        blk.term.map_succs(&mut |s| remap[&s]);
+        blk.term
+            .map_succs(&mut |s| to(s).expect("reachable blocks jump to reachable blocks"));
         for inst in &mut blk.insts {
             if let Inst::Phi { args, .. } = inst {
-                args.retain(|(p, _)| remap.contains_key(p));
+                args.retain(|(p, _)| to(*p).is_some());
                 for (p, _) in args {
-                    *p = remap[p];
+                    *p = to(*p).expect("retained");
                 }
             }
         }
@@ -295,7 +313,6 @@ pub fn remove_unreachable_blocks(f: &mut MirFunction, cache: &mut AnalysisCache)
 /// critical edge was split, [`Changed::Insts`] if φs were lowered onto
 /// existing edges only, [`Changed::Nothing`] for a φ-free input.
 pub fn destruct(f: &mut MirFunction) -> Changed {
-    // Collect copies to insert per edge (pred -> block).
     // Post-destruct boundary of the pipeline verifier: the output must
     // be φ-free and structurally sound (debug builds only).
     fn debug_verify_phi_free(f: &MirFunction) {
@@ -310,45 +327,52 @@ pub fn destruct(f: &mut MirFunction) -> Changed {
         }
     }
 
-    let mut edge_copies: BTreeMap<(BlockId, BlockId), Vec<(VReg, VReg)>> = BTreeMap::new();
+    // Copies to insert per edge `(pred, block)`, as `(edge, dst, src)` in
+    // φ order; a stable sort by edge then groups them per edge in
+    // ascending edge order.
+    let mut edge_copies: Vec<((BlockId, BlockId), VReg, VReg)> = Vec::new();
     let mut had_phi = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let mut kept = Vec::new();
-        for inst in f.block(b).insts.clone() {
-            if let Inst::Phi { dst, args } = inst {
-                had_phi = true;
-                for (p, v) in args {
-                    edge_copies.entry((p, b)).or_default().push((dst, v));
-                }
-            } else {
-                kept.push(inst);
-            }
+    for (i, blk) in f.blocks.iter_mut().enumerate() {
+        if !blk
+            .insts
+            .iter()
+            .any(|inst| matches!(inst, Inst::Phi { .. }))
+        {
+            continue;
         }
-        f.block_mut(b).insts = kept;
+        had_phi = true;
+        let b = BlockId(i as u32);
+        blk.insts.retain(|inst| {
+            let Inst::Phi { dst, args } = inst else {
+                return true;
+            };
+            edge_copies.extend(args.iter().map(|&(p, v)| ((p, b), *dst, v)));
+            false
+        });
     }
     if edge_copies.is_empty() {
         debug_verify_phi_free(f);
         return Changed::insts_if(had_phi);
     }
+    edge_copies.sort_by_key(|(edge, _, _)| *edge);
     let mut changed = Changed::Insts;
-    for ((p, b), copies) in edge_copies {
+    for group in edge_copies.chunk_by(|a, b| a.0 == b.0) {
+        let (p, b) = group[0].0;
         // Staged parallel copy: tmp_i = src_i ; dst_i = tmp_i. This is
         // immune to the swap/lost-copy problems.
-        let mut seq = Vec::new();
-        let mut temps = Vec::new();
-        for (_, src) in &copies {
+        let mut seq = Vec::with_capacity(2 * group.len());
+        let mut temps = Vec::with_capacity(group.len());
+        for &(_, _, src) in group {
             let t = f.fresh();
             temps.push(t);
-            seq.push(Inst::Copy { dst: t, src: *src });
+            seq.push(Inst::Copy { dst: t, src });
         }
-        for ((dst, _), t) in copies.iter().zip(&temps) {
-            seq.push(Inst::Copy { dst: *dst, src: *t });
+        for (&(_, dst, _), t) in group.iter().zip(&temps) {
+            seq.push(Inst::Copy { dst, src: *t });
         }
-        let p_succs = f.block(p).term.succs();
-        if p_succs.len() == 1 {
+        if f.block(p).term.successors().count() == 1 {
             // Insert at the end of the predecessor.
-            let blk = f.block_mut(p);
-            blk.insts.extend(seq);
+            f.block_mut(p).insts.extend(seq);
         } else {
             // Critical edge: split with a fresh forwarding block.
             let e = BlockId(f.blocks.len() as u32);
@@ -370,6 +394,7 @@ pub fn destruct(f: &mut MirFunction) -> Changed {
 mod tests {
     use super::*;
     use crate::mir::BinOp;
+    use std::collections::BTreeSet;
 
     /// let x = 0; if c { x = 1 } else { x = 2 }; return x  — the classic
     /// φ example.

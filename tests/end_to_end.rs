@@ -360,7 +360,7 @@ fn licm_hoists_loads_out_of_stt_dispatch_loops() {
     fn loads_in_loop_bodies(f: &MirFunction) -> usize {
         let mut in_loops: BTreeSet<BlockId> = BTreeSet::new();
         for lp in occ::cfg::natural_loops(f) {
-            in_loops.extend(lp.body.iter().copied());
+            in_loops.extend(lp.body.iter());
         }
         in_loops
             .iter()
