@@ -121,8 +121,9 @@ else
     # the gate, as does a cell's canonical-storm dynamic instruction
     # count (the deterministic "time" axis — an optimization that saves
     # bytes by re-executing work fails here), cell-set drift in either
-    # direction, or a pass whose insts_removed drops to zero matrix-wide
-    # (silently inert); refresh the baseline deliberately with:
+    # direction, or a pass whose insts_removed or changes total drops to
+    # zero matrix-wide (silently inert); refresh the baseline
+    # deliberately with:
     #   cargo run --release -p bench --bin snapshot -- bench_baseline.json
     run_stage "bench snapshot (BENCH_PR3.json)" \
         cargo run --release -q -p bench --bin snapshot

@@ -7,12 +7,11 @@
 //!   three-address control-flow-graph IR ([`mir`]).
 //! * **Mid end**: SSA construction (Cytron-style dominance frontiers,
 //!   [`ssa`]), then the fixed-point [`PassManager`] of [`opt`] — sparse
-//!   conditional constant propagation (Wegman-Zadeck), dense constant
-//!   folding, root-based dead-code elimination, copy propagation, global
-//!   value numbering / CSE, block-local *and* cross-block store-to-load
-//!   forwarding (the latter over the dominator-scoped available-load
-//!   dataflow [`opt::avail_loads`]), load partial-redundancy elimination
-//!   on diamond joins, dead-store elimination — all over the
+//!   conditional constant propagation (Wegman-Zadeck), root-based
+//!   dead-code elimination, copy propagation, global value numbering /
+//!   CSE, block-local *and* cross-block store-to-load forwarding (the
+//!   latter over the dominator-scoped available-load dataflow
+//!   [`opt::avail_loads`]), dead-store elimination — all over the
 //!   memory-dependence layer of [`mem`] (flat-image alias model: `Addr`
 //!   roots plus constant offsets) — loop-invariant code motion out of
 //!   natural loops ([`cfg::natural_loops`]) including clobber-free

@@ -33,8 +33,9 @@
 //! [`mem::FnAddrs`] and [`AvailLoads`], each computed on first use. No
 //! pass derives an analysis itself. Most pass runs change nothing, so
 //! most queries are hits: in a quiet sweep every memory pass and
-//! [`licm`] share one address resolution, and [`load_pre`] reuses the
-//! availability dataflow [`cross_block_forward`] built.
+//! [`licm`] share one address resolution, and [`cross_block_forward`]
+//! finds its availability dataflow still cached whenever nothing changed
+//! since its previous run.
 //!
 //! Each step reports a [`Changed`] class instead of a `bool`, and the
 //! manager applies it to the cache:
@@ -101,13 +102,11 @@
 //!
 //! | pass                    | `-O1` (2 rounds) | `-O2`/`-Os` (3 rounds) |
 //! |-------------------------|------------------|------------------------|
-//! | [`sccp`]                |                  | ✓                      |
-//! | [`constant_fold`]       | ✓                |                        |
+//! | [`sccp`]                | ✓                | ✓                      |
 //! | [`copy_propagate`]      |                  | ✓                      |
 //! | [`gvn_cse`]             |                  | ✓                      |
 //! | [`store_load_forward`]  | ✓                | ✓                      |
 //! | [`cross_block_forward`] | ✓                | ✓                      |
-//! | [`load_pre`]            | ✓                | ✓                      |
 //! | [`dead_store_elim`]     | ✓                | ✓                      |
 //! | [`licm`]                |                  | ✓                      |
 //! | [`fold_terminators`]    | ✓                | ✓                      |
@@ -117,7 +116,8 @@
 //! post passes at every level above `-O0`, and the program passes
 //! [`inline_small_functions`] → [`dead_function_elimination`] framing
 //! the per-function loop at `-O2`/`-Os` (with a size-tuned inlining
-//! threshold at `-Os`). The memory passes run after [`gvn_cse`] —
+//! threshold at `-Os`). The `-O1` roster is an in-order sub-list of the
+//! `-O2`/`-Os` one. The memory passes run after [`gvn_cse`] —
 //! addresses are canonical by then — and before [`licm`], so forwarding
 //! eats load redundancy first and LICM hoists only the loads that
 //! survive.
@@ -133,12 +133,8 @@
 //!   ⊤/const/⊥ lattice with the Wegman–Zadeck two-worklist scheme:
 //!   tracks executable CFG edges, meets φs over executable incoming
 //!   edges only, folds proven-constant instructions and terminators, and
-//!   removes never-executable blocks. Folds through branches the dense
-//!   fold must leave.
-//! * [`constant_fold`] — dense constant propagation/folding with branch
-//!   folding; the constant pass at `-O1`. [`sccp`] replaces it at
-//!   `-O2`/`-Os`: everything the dense fixpoint proves constant, SCCP
-//!   proves too.
+//!   removes never-executable blocks. The one constant pass, at every
+//!   level above `-O0`.
 //! * [`copy_propagate`] — transitive copy propagation into uses.
 //! * [`gvn_cse`] — dominator-scoped global value numbering / common
 //!   subexpression elimination with commutative canonicalization; loads
@@ -151,10 +147,6 @@
 //!   availability dataflow: loads of cells available on every incoming
 //!   path are deleted outright, their uses rewritten through new φs at
 //!   joins where predecessor values differ.
-//! * [`load_pre`] — load partial-redundancy elimination for diamond
-//!   joins: a load available on exactly one of two incoming edges gets a
-//!   speculative compensating load in the other predecessor (licensed by
-//!   the rooted-loads-never-fault rule of [`crate::mem`]) and a φ-merge.
 //! * [`dead_store_elim`] — block-local backward sweep dropping stores
 //!   overwritten before any possible read.
 //! * [`licm`] — loop-invariant code motion out of natural loops with
@@ -208,7 +200,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use crate::analysis::{AnalysisCache, Changed};
 use crate::cfg;
@@ -243,7 +234,9 @@ pub struct PassStats {
 
 /// Canonical pass names as they appear in [`PassStats::name`].
 pub mod pass {
-    /// Constant propagation/folding with branch folding.
+    /// Retired: the dense constant fold, which [`SCCP`] replaced at every
+    /// level. No roster registers it and [`canonical`] does not accept
+    /// it, so a serialized artifact that reports it is stale.
     pub const CONST_FOLD: &str = "const-fold";
     /// Transitive copy propagation.
     pub const COPY_PROP: &str = "copy-prop";
@@ -261,7 +254,10 @@ pub mod pass {
     pub const STORE_LOAD_FWD: &str = "store-load-fwd";
     /// Cross-block store-to-load forwarding / redundant-load elimination.
     pub const CROSS_LOAD_FWD: &str = "cross-load-fwd";
-    /// Load partial-redundancy elimination for diamond joins.
+    /// Retired: load partial-redundancy elimination for diamond joins,
+    /// deleted because it measured net-negative. No roster registers it
+    /// and [`canonical`] does not accept it, so a serialized artifact
+    /// that reports it is stale.
     pub const LOAD_PRE: &str = "load-pre";
     /// Dead-store elimination.
     pub const DSE: &str = "dse";
@@ -283,7 +279,6 @@ pub mod pass {
     /// stale, not adopted.
     pub fn canonical(name: &str) -> Option<&'static str> {
         [
-            CONST_FOLD,
             COPY_PROP,
             SCCP,
             LICM,
@@ -292,7 +287,6 @@ pub mod pass {
             GVN_CSE,
             STORE_LOAD_FWD,
             CROSS_LOAD_FWD,
-            LOAD_PRE,
             DSE,
             TERM_FOLD,
             DCE,
@@ -450,14 +444,13 @@ impl PassManager {
             OptLevel::O1 => {
                 // Copy coalescing cleans the construct/destruct φ-copy
                 // round trip without the O2 roster, so O1 can afford a
-                // second outer round. The block-local memory passes are
-                // cheap enough for O1 and directly shrink the
-                // context-variable traffic every generated handler emits.
+                // second outer round. The memory passes are cheap enough
+                // for O1 and directly shrink the context-variable traffic
+                // every generated handler emits.
                 pm.outer_rounds = 2;
-                pm.register(pass::CONST_FOLD, constant_fold);
+                pm.register(pass::SCCP, sccp);
                 pm.register(pass::STORE_LOAD_FWD, store_load_forward);
                 pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
                 pm.register(pass::TERM_FOLD, fold_terminators);
                 pm.register(pass::DCE, dead_code_elim);
@@ -467,21 +460,17 @@ impl PassManager {
             OptLevel::O2 | OptLevel::Os => {
                 // Extra outer rounds let φ-free CFG cleanup and the SSA
                 // passes feed each other; copy propagation erases the
-                // copies each construct/destruct round introduces. SCCP
-                // leads and subsumes the dense fold (it folds everything
-                // the dense fixpoint proves, and through branches the
-                // dense pass must leave), so the dense fold is not
-                // registered here. The memory passes run after GVN/CSE
-                // (addresses are canonical by then) and before LICM, so
-                // forwarding eats block-local load redundancy first and
-                // LICM hoists only the loads that survive.
+                // copies each construct/destruct round introduces. The
+                // memory passes run after GVN/CSE (addresses are
+                // canonical by then) and before LICM, so forwarding eats
+                // load redundancy first and LICM hoists only the loads
+                // that survive.
                 pm.outer_rounds = 3;
                 pm.register(pass::SCCP, sccp);
                 pm.register(pass::COPY_PROP, copy_propagate);
                 pm.register(pass::GVN_CSE, gvn_cse);
                 pm.register(pass::STORE_LOAD_FWD, store_load_forward);
                 pm.register(pass::CROSS_LOAD_FWD, cross_block_forward);
-                pm.register(pass::LOAD_PRE, load_pre);
                 pm.register(pass::DSE, dead_store_elim);
                 pm.register(pass::LICM, licm);
                 pm.register(pass::TERM_FOLD, fold_terminators);
@@ -773,117 +762,6 @@ fn run_pipeline_impl(
 }
 
 // ---------------------------------------------------------------------
-// Constant propagation + folding + branch folding (on SSA)
-// ---------------------------------------------------------------------
-
-/// Propagates and folds constants; folds constant branches (a CFG
-/// change).
-pub fn constant_fold(
-    f: &mut MirFunction,
-    _model: &mem::MemoryModel,
-    cache: &mut AnalysisCache,
-) -> Changed {
-    let mut known: DenseMap<VReg, i32> = DenseMap::with_capacity(f.next_vreg as usize);
-    let mut changed = false;
-    // SSA: each def has one value; iterate to a fixpoint to flow through
-    // φs and copies in any block order.
-    loop {
-        let mut grew = false;
-        for blk in &f.blocks {
-            for inst in &blk.insts {
-                let Some(dst) = inst.def() else { continue };
-                if known.contains_key(dst) {
-                    continue;
-                }
-                let value = match inst {
-                    Inst::Const { value, .. } => Some(*value),
-                    Inst::Copy { src, .. } => known.get(*src).copied(),
-                    Inst::Un { op, src, .. } => known.get(*src).map(|v| op.eval(*v)),
-                    Inst::Bin { op, lhs, rhs, .. } => match (known.get(*lhs), known.get(*rhs)) {
-                        (Some(a), Some(b)) => Some(op.eval(*a, *b)),
-                        _ => None,
-                    },
-                    // Constant when every argument is known and they agree.
-                    Inst::Phi { args, .. } => {
-                        let mut vals = args.iter().map(|(_, v)| known.get(*v).copied());
-                        match vals.next() {
-                            Some(Some(first)) => vals.all(|v| v == Some(first)).then_some(first),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some(v) = value {
-                    known.insert(dst, v);
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    // Rewrite: folded instructions become Consts; constant branches become
-    // gotos.
-    let mut folded_branch = false;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        let blk = f.block_mut(b);
-        for inst in &mut blk.insts {
-            let Some(dst) = inst.def() else { continue };
-            if let Some(v) = known.get(dst) {
-                let replace = !matches!(inst, Inst::Const { .. })
-                    && inst.is_pure()
-                    && !matches!(inst, Inst::Load { .. });
-                if replace {
-                    *inst = Inst::Const { dst, value: *v };
-                    changed = true;
-                }
-            }
-        }
-        match &blk.term {
-            Term::Br {
-                cond,
-                then_block,
-                else_block,
-            } => {
-                if let Some(v) = known.get(*cond) {
-                    blk.term = Term::Goto(if *v != 0 { *then_block } else { *else_block });
-                    changed = true;
-                    folded_branch = true;
-                }
-            }
-            Term::Switch {
-                val,
-                cases,
-                default,
-            } => {
-                if let Some(v) = known.get(*val) {
-                    let target = cases
-                        .iter()
-                        .find(|(c, _)| c == v)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    blk.term = Term::Goto(target);
-                    changed = true;
-                    folded_branch = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Folding a branch removes CFG edges, which strands φ-arguments in the
-    // old arms' targets; prune them (and fold now-trivial φs) so the SSA
-    // invariants hold after this pass just like after `sccp`.
-    if folded_branch {
-        cache.invalidate(Changed::Cfg);
-        ssa::remove_unreachable_blocks(f, cache);
-        prune_phi_args(f, cache);
-        return Changed::Cfg;
-    }
-    Changed::insts_if(changed)
-}
-
-// ---------------------------------------------------------------------
 // Sparse conditional constant propagation (on SSA)
 // ---------------------------------------------------------------------
 
@@ -1079,10 +957,10 @@ impl SccpState<'_> {
     }
 }
 
-/// Sparse conditional constant propagation (Wegman–Zadeck), on SSA.
+/// Sparse conditional constant propagation (Wegman–Zadeck), on SSA — the
+/// constant pass at every level above `-O0`.
 ///
-/// Unlike the dense [`constant_fold`] fixpoint, SCCP tracks which CFG
-/// edges can execute and meets φ-arguments over *executable* incoming
+/// SCCP tracks which CFG edges can execute and meets φ-arguments over *executable* incoming
 /// edges only, so a constant flowing through a branch it itself decides
 /// is still folded: reachability and constancy reinforce each other.
 /// Instructions proven constant become `Const`s, terminators with a
@@ -1488,13 +1366,13 @@ pub fn dead_store_elim(
 }
 
 // ---------------------------------------------------------------------
-// Cross-block load redundancy elimination (avail_loads + two passes)
+// Cross-block load redundancy elimination (avail_loads + forwarding)
 // ---------------------------------------------------------------------
 
 /// Result of [`avail_loads`]: per block, the set of exactly addressed
 /// memory cells ([`mem::Cell`]) whose values are *must-available* — on
 /// every path from the entry, the cell was last written or read with no
-/// intervening clobber — on block entry and exit, plus the per-block
+/// intervening clobber — on block entry, plus the per-block
 /// [`mem::BlockCells`] transfer summaries the sets were computed from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvailLoads {
@@ -1503,7 +1381,6 @@ pub struct AvailLoads {
     universe: Vec<mem::Cell>,
     effects: Vec<mem::BlockCells>,
     avail_in: Vec<mem::CellSet>,
-    avail_out: Vec<mem::CellSet>,
 }
 
 impl AvailLoads {
@@ -1520,14 +1397,6 @@ impl AvailLoads {
     /// `true` if cell `c` (a dense index) is available on entry to `b`.
     pub fn on_entry(&self, b: BlockId, c: usize) -> bool {
         self.avail_in[b.0 as usize].contains(c)
-    }
-
-    /// `true` if cell `c` (a dense index) is available on the CFG edge
-    /// `p → _` (edges neither kill nor gen, so edge availability is the
-    /// source block's exit availability) — the per-edge query load-PRE
-    /// partitions a join's predecessors with.
-    pub fn on_edge(&self, p: BlockId, c: usize) -> bool {
-        self.avail_out[p.0 as usize].contains(c)
     }
 
     /// The transfer summary of block `b`, over dense cell indices.
@@ -1572,7 +1441,6 @@ pub fn avail_loads(
         universe,
         effects,
         avail_in: vec![mem::CellSet::with_capacity(cells); n],
-        avail_out: vec![mem::CellSet::with_capacity(cells); n],
     };
     if cells == 0 {
         return avail;
@@ -1593,9 +1461,11 @@ pub fn avail_loads(
             .collect();
         header_survivors[lp.header.0 as usize] = Some(survivors);
     }
+    // Exit sets, seeded optimistically; only the entry sets are kept.
+    let mut avail_out = vec![mem::CellSet::with_capacity(cells); n];
     for &b in rpo.iter() {
         if b != BlockId(0) {
-            avail.avail_out[b.0 as usize] = mem::CellSet::full(cells);
+            avail_out[b.0 as usize] = mem::CellSet::full(cells);
         }
     }
     loop {
@@ -1608,7 +1478,7 @@ pub fn avail_loads(
                 // twice (both arms of a `Br`) needs no deduplication.
                 let mut first = true;
                 for &p in preds[i].iter().filter(|p| reachable.contains(**p)) {
-                    let out = &avail.avail_out[p.0 as usize];
+                    let out = &avail_out[p.0 as usize];
                     if first {
                         in_set.clone_from(out);
                         first = false;
@@ -1621,9 +1491,9 @@ pub fn avail_loads(
                 }
             }
             let out_set = avail.effects[i].flow(&in_set);
-            if in_set != avail.avail_in[i] || out_set != avail.avail_out[i] {
+            if in_set != avail.avail_in[i] || out_set != avail_out[i] {
                 avail.avail_in[i] = in_set;
-                avail.avail_out[i] = out_set;
+                avail_out[i] = out_set;
                 changed = true;
             }
         }
@@ -1658,9 +1528,9 @@ fn distinct_reachable_preds(
     ps
 }
 
-/// Shared state of the lazy cell-value resolution both cross-block
-/// passes use: memoized per-(block, cell) entry values and the φs
-/// allocated to merge differing predecessor values.
+/// State of [`cross_block_forward`]'s lazy cell-value resolution:
+/// memoized per-(block, cell) entry values and the φs allocated to merge
+/// differing predecessor values.
 struct LoadResolver<'a> {
     avail: &'a AvailLoads,
     preds: &'a [Vec<BlockId>],
@@ -1722,82 +1592,16 @@ impl LoadResolver<'_> {
     }
 }
 
-/// The shared analysis prologue of the two cross-block passes: address
-/// resolution, the availability dataflow, dominators and the
-/// dominance-ordered reachable-block walk, all read from the
-/// [`AnalysisCache`] — so [`load_pre`] reuses what
-/// [`cross_block_forward`] derived whenever the latter changed nothing.
-struct CrossBlockCtx {
-    addrs: Rc<mem::FnAddrs>,
-    avail: Rc<AvailLoads>,
-    idom: Rc<cfg::Idoms>,
-    order: Vec<BlockId>,
-    preds: Rc<Vec<Vec<BlockId>>>,
-    reachable: Rc<DenseSet<BlockId>>,
-}
-
-impl CrossBlockCtx {
-    /// `None` when the function touches no exactly addressed cell —
-    /// neither pass has anything to do then.
-    fn analyze(
-        f: &MirFunction,
-        model: &mem::MemoryModel,
-        cache: &mut AnalysisCache,
-    ) -> Option<CrossBlockCtx> {
-        let avail = cache.avail_loads(f, model);
-        if avail.universe().is_empty() {
-            return None;
-        }
-        let addrs = cache.fn_addrs(f);
-        let idom = cache.dominators(f);
-        let order = cfg::dominator_preorder(&idom);
-        let preds = cache.preds(f);
-        let reachable = cache.reachable(f);
-        Some(CrossBlockCtx {
-            addrs,
-            avail,
-            idom,
-            order,
-            preds,
-            reachable,
-        })
-    }
-
-    fn resolver(&self) -> LoadResolver<'_> {
-        LoadResolver {
-            avail: &self.avail,
-            preds: &self.preds,
-            reachable: &self.reachable,
-            entry_memo: vec![None; self.preds.len() * self.avail.universe.len()],
-            phis: Vec::new(),
-        }
-    }
-
-    /// The dense cell index of the exactly addressed cell `addr` points
-    /// at, with the cell.
-    fn exact_cell(&self, addr: VReg) -> Option<(usize, mem::Cell)> {
-        let mem::AddrInfo::Exact { global, offset } = self.addrs.info(addr) else {
-            return None;
-        };
-        let cell = (global, offset);
-        Some((self.avail.cell_index(cell)?, cell))
-    }
-}
-
-/// The edits a cross-block pass accumulates before touching the
-/// function: loads to delete (with every use of their destination
-/// rewritten to the forwarded value), φs to materialize, instructions to
-/// append to predecessor blocks (load-PRE's compensating loads). Block
-/// tables are indexed by block.
+/// The edits [`cross_block_forward`] accumulates before touching the
+/// function: loads to delete, with every use of their destination
+/// rewritten to the forwarded value. The φs to materialize come from the
+/// [`LoadResolver`].
 struct LoadEdits {
     /// Replacements for deleted definitions (and collapsed φs); applied
     /// transitively to every use in the function.
     repl: DenseMap<VReg, VReg>,
     /// Per block, the instruction indices of loads to delete.
     delete: Vec<DenseSet<usize>>,
-    /// Instructions appended to the end of a block (before its
-    /// terminator).
-    append: Vec<Vec<Inst>>,
 }
 
 impl LoadEdits {
@@ -1805,7 +1609,6 @@ impl LoadEdits {
         LoadEdits {
             repl: DenseMap::with_capacity(f.next_vreg as usize),
             delete: vec![DenseSet::default(); f.blocks.len()],
-            append: vec![Vec::new(); f.blocks.len()],
         }
     }
 
@@ -1831,13 +1634,9 @@ impl LoadEdits {
     /// Applies everything: collapses trivial φs (all arguments resolve
     /// to one value besides the φ itself — such a φ *is* that value, the
     /// self-argument being the unchanged loop-carried copy), prepends the
-    /// surviving φs, deletes the forwarded loads, rewrites every use
-    /// through the replacement map and appends the compensating
-    /// instructions. Returns `true` if the function changed.
-    fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) -> bool {
-        if self.repl.is_empty() && phis.is_empty() && self.append.iter().all(Vec::is_empty) {
-            return false;
-        }
+    /// surviving φs, deletes the forwarded loads and rewrites every use
+    /// through the replacement map.
+    fn apply(mut self, f: &mut MirFunction, mut phis: Vec<PendingPhi>) {
         // Trivial-φ collapse to a fixed point: collapsing one φ can make
         // another's arguments agree.
         loop {
@@ -1873,10 +1672,9 @@ impl LoadEdits {
             phi_by_block[phi.block.0 as usize].push(Inst::Phi { dst: phi.dst, args });
         }
         for (bi, blk) in f.blocks.iter_mut().enumerate() {
-            let tail = std::mem::take(&mut self.append[bi]);
             let old = std::mem::take(&mut blk.insts);
             let mut insts = std::mem::take(&mut phi_by_block[bi]);
-            insts.reserve(old.len() + tail.len());
+            insts.reserve(old.len());
             let delete = &self.delete[bi];
             insts.extend(
                 old.into_iter()
@@ -1884,14 +1682,12 @@ impl LoadEdits {
                     .filter(|(i, _)| !delete.contains(*i))
                     .map(|(_, inst)| inst),
             );
-            insts.extend(tail);
             blk.insts = insts;
             for inst in &mut blk.insts {
                 inst.map_uses(&mut |v| self.resolve(v));
             }
             blk.term.map_uses(&mut |v| self.resolve(v));
         }
-        true
     }
 }
 
@@ -1920,19 +1716,39 @@ pub fn cross_block_forward(
     model: &mem::MemoryModel,
     cache: &mut AnalysisCache,
 ) -> Changed {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model, cache) else {
+    let avail = cache.avail_loads(f, model);
+    if avail.universe().is_empty() {
         return Changed::Nothing;
+    }
+    let addrs = cache.fn_addrs(f);
+    let order = cfg::dominator_preorder(&cache.dominators(f));
+    let preds = cache.preds(f);
+    let reachable = cache.reachable(f);
+    // The dense cell index of the exactly addressed cell `addr` points
+    // at, with the cell.
+    let exact_cell = |addr| {
+        let mem::AddrInfo::Exact { global, offset } = addrs.info(addr) else {
+            return None;
+        };
+        let cell = (global, offset);
+        Some((avail.cell_index(cell)?, cell))
     };
-    let mut resolver = ctx.resolver();
+    let mut resolver = LoadResolver {
+        avail: &avail,
+        preds: &preds,
+        reachable: &reachable,
+        entry_memo: vec![None; preds.len() * avail.universe.len()],
+        phis: Vec::new(),
+    };
     let mut edits = LoadEdits::new(f);
-    for &b in &ctx.order {
-        let mut st = mem::CellState::new(ctx.avail.universe());
+    for &b in &order {
+        let mut st = mem::CellState::new(avail.universe());
         for i in 0..f.block(b).insts.len() {
             if let Inst::Load { dst, addr } = f.block(b).insts[i] {
-                if let Some((c, cell)) = ctx.exact_cell(addr) {
+                if let Some((c, cell)) = exact_cell(addr) {
                     let forwarded = match st.value(cell) {
                         mem::CellVal::Reg(v) => Some(v),
-                        mem::CellVal::FromEntry if ctx.avail.on_entry(b, c) => {
+                        mem::CellVal::FromEntry if avail.on_entry(b, c) => {
                             Some(resolver.entry_value(f, b, c))
                         }
                         _ => None,
@@ -1944,101 +1760,14 @@ pub fn cross_block_forward(
                     }
                 }
             }
-            st.apply(&f.block(b).insts[i], &ctx.addrs, model);
+            st.apply(&f.block(b).insts[i], &addrs, model);
         }
     }
     if edits.repl.is_empty() {
         return Changed::Nothing;
     }
-    Changed::insts_if(edits.apply(f, resolver.phis))
-}
-
-/// Load partial-redundancy elimination for diamond joins, on SSA. Where
-/// [`cross_block_forward`] needs a cell available on *every* incoming
-/// path, this pass handles the half-available case: at a two-predecessor
-/// join that is not a loop header, a load of a cell available on exactly
-/// one incoming edge ([`AvailLoads::on_edge`]) is made fully redundant
-/// by inserting the compensating load in the *other* predecessor — a
-/// fresh `Addr` + `Load` of the cell before its terminator — and
-/// φ-merging the two values. The original load is deleted and its uses
-/// rewritten to the φ.
-///
-/// The insertion is speculative when the lacking predecessor has other
-/// successors: the compensating load then also executes on paths that
-/// never reach the join. That is licensed by the rooted-loads-never-fault
-/// rule of [`crate::mem`] — the cell is exactly addressed, so the
-/// address stays inside the VM's data image and the extra load can only
-/// cost time, never behaviour. Appending to the lacking predecessor keeps
-/// its terminator, so the CFG is unchanged.
-pub fn load_pre(
-    f: &mut MirFunction,
-    model: &mem::MemoryModel,
-    cache: &mut AnalysisCache,
-) -> Changed {
-    let Some(ctx) = CrossBlockCtx::analyze(f, model, cache) else {
-        return Changed::Nothing;
-    };
-    let mut resolver = ctx.resolver();
-    let mut edits = LoadEdits::new(f);
-    for &b in &ctx.order {
-        let ps = distinct_reachable_preds(&ctx.preds, &ctx.reachable, b);
-        // Diamond joins only: exactly two distinct forward predecessors.
-        // A join one of whose edges is a back edge is a loop header —
-        // compensating in the latch would reload every iteration.
-        if ps.len() != 2 || ps.iter().any(|&p| cfg::dominates(&ctx.idom, b, p)) {
-            continue;
-        }
-        let mut st = mem::CellState::new(ctx.avail.universe());
-        for i in 0..f.block(b).insts.len() {
-            if let Inst::Load { dst, addr } = f.block(b).insts[i] {
-                if let Some((c, cell)) = ctx.exact_cell(addr) {
-                    let (global, offset) = cell;
-                    // Only entry-state loads of half-available cells: the
-                    // fully available case is cross_block_forward's, a
-                    // locally provided value is store_load_forward's, and
-                    // a locally clobbered cell cannot be compensated.
-                    if st.value(cell) == mem::CellVal::FromEntry && !ctx.avail.on_entry(b, c) {
-                        let have: Vec<BlockId> = ps
-                            .iter()
-                            .copied()
-                            .filter(|&p| ctx.avail.on_edge(p, c))
-                            .collect();
-                        if have.len() == 1 {
-                            let miss = ps[usize::from(ps[0] == have[0])];
-                            let available = resolver.exit_value(f, have[0], c);
-                            let addr_reg = f.fresh();
-                            let load_reg = f.fresh();
-                            edits.append[miss.0 as usize].extend([
-                                Inst::Addr {
-                                    dst: addr_reg,
-                                    global,
-                                    offset,
-                                },
-                                Inst::Load {
-                                    dst: load_reg,
-                                    addr: addr_reg,
-                                },
-                            ]);
-                            let phi_dst = f.fresh();
-                            resolver.phis.push(PendingPhi {
-                                block: b,
-                                dst: phi_dst,
-                                args: vec![(have[0], available), (miss, load_reg)],
-                            });
-                            edits.forward(b, i, dst, phi_dst);
-                            st.set(cell, mem::CellVal::Reg(phi_dst));
-                            continue;
-                        }
-                    }
-                }
-            }
-            st.apply(&f.block(b).insts[i], &ctx.addrs, model);
-        }
-    }
-    if edits.repl.is_empty() {
-        return Changed::Nothing;
-    }
-    Changed::insts_if(edits.apply(f, resolver.phis))
+    edits.apply(f, resolver.phis);
+    Changed::Insts
 }
 
 // ---------------------------------------------------------------------
@@ -2993,10 +2722,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_collapses_math() {
+    fn sccp_collapses_constant_math() {
         let mut f = const_add_fn();
         ssa::construct(&mut f, &mut AnalysisCache::new());
-        assert!(constant_fold(&mut f, &md(), &mut AnalysisCache::new()).any());
+        assert!(sccp(&mut f, &md(), &mut AnalysisCache::new()).any());
         dead_code_elim(&mut f, &md(), &mut AnalysisCache::new());
         ssa::destruct(&mut f);
         simplify_cfg(&mut f, &mut AnalysisCache::new());
@@ -3011,67 +2740,6 @@ mod tests {
             .collect();
         assert!(consts.contains(&42), "{f}");
         assert!(f.blocks[0].insts.len() <= 2, "{f}");
-    }
-
-    /// Regression keyed to the verifier's `phi-outside-join` and
-    /// `phi-pred-mismatch` rules: folding a constant branch removes a
-    /// CFG edge, so `constant_fold` must prune the join φ's stale arm
-    /// (and fold the now-trivial φ) instead of leaving it dangling for
-    /// the next pass to trip over.
-    #[test]
-    fn constant_fold_prunes_stale_phi_args_after_branch_folding() {
-        let mut f = MirFunction {
-            name: "g".into(),
-            params: 0,
-            returns_value: true,
-            exported: true,
-            blocks: vec![
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(0),
-                        value: 1,
-                    }],
-                    term: Term::Br {
-                        cond: VReg(0),
-                        then_block: BlockId(1),
-                        else_block: BlockId(2),
-                    },
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(1),
-                        value: 10,
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Const {
-                        dst: VReg(2),
-                        value: 20,
-                    }],
-                    term: Term::Goto(BlockId(3)),
-                },
-                Block {
-                    insts: vec![Inst::Phi {
-                        dst: VReg(3),
-                        args: vec![(BlockId(1), VReg(1)), (BlockId(2), VReg(2))],
-                    }],
-                    term: Term::Ret(Some(VReg(3))),
-                },
-            ],
-            next_vreg: 4,
-        };
-        assert!(constant_fold(&mut f, &md(), &mut AnalysisCache::new()).any());
-        let vs = verify::verify_function(&f, verify::Tier::Ssa);
-        assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
-        // The single-pred join must not keep a φ at all.
-        let phis = f
-            .blocks
-            .iter()
-            .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, Inst::Phi { .. }))
-            .count();
-        assert_eq!(phis, 0, "{f}");
     }
 
     #[test]
@@ -3111,7 +2779,7 @@ mod tests {
             next_vreg: 3,
         };
         ssa::construct(&mut f, &mut AnalysisCache::new());
-        constant_fold(&mut f, &md(), &mut AnalysisCache::new());
+        sccp(&mut f, &md(), &mut AnalysisCache::new());
         ssa::destruct(&mut f);
         simplify_cfg(&mut f, &mut AnalysisCache::new());
         assert!(f.blocks.len() <= 2, "constant branch leaves one path: {f}");
@@ -3561,28 +3229,33 @@ mod tests {
 
     #[test]
     fn pass_manager_reaches_fixed_point_and_records_stats() {
-        let mut pm = PassManager::for_level(OptLevel::O2);
-        let mut f = const_add_fn();
-        assert!(pm.run_function(&mut f, &md()));
-        let stats = pm.stats();
-        // SCCP replaces the dense fold at -O2: it reports the
-        // constant-folding changes, and const-fold never runs.
-        let sc = stats.get(pass::SCCP).expect("sccp ran");
-        assert!(sc.runs > 0 && sc.changes > 0, "{stats:?}");
-        assert!(stats.get(pass::CONST_FOLD).is_none(), "{stats:?}");
-        let dce = stats.get(pass::DCE).expect("dce ran");
-        assert!(dce.insts_removed > 0, "{stats:?}");
-        // Idempotence: a second run over the optimized function reports no
-        // change and keeps the structure (SSA reconstruction renumbers
-        // registers, so compare shape, not names).
-        let (blocks, insts) = (f.blocks.len(), f.inst_count());
-        let mut pm2 = PassManager::for_level(OptLevel::O2);
-        assert!(!pm2.run_function(&mut f, &md()));
-        assert_eq!(
-            (f.blocks.len(), f.inst_count()),
-            (blocks, insts),
-            "fixed point must be structurally stable: {f}"
-        );
+        // SCCP is the constant pass at every level: it reports the
+        // constant-folding changes, and no retired pass runs.
+        for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
+            let mut pm = PassManager::for_level(level);
+            let mut f = const_add_fn();
+            assert!(pm.run_function(&mut f, &md()));
+            let stats = pm.stats();
+            let sc = stats.get(pass::SCCP).expect("sccp ran");
+            assert!(sc.runs > 0 && sc.changes > 0, "{level:?}: {stats:?}");
+            for retired in ["const-fold", "load-pre"] {
+                assert!(stats.get(retired).is_none(), "{level:?}: {stats:?}");
+            }
+            let dce = stats.get(pass::DCE).expect("dce ran");
+            assert!(dce.insts_removed > 0, "{level:?}: {stats:?}");
+            // Idempotence: a second run over the optimized function
+            // reports no change and keeps the structure (SSA
+            // reconstruction renumbers registers, so compare shape, not
+            // names).
+            let (blocks, insts) = (f.blocks.len(), f.inst_count());
+            let mut pm2 = PassManager::for_level(level);
+            assert!(!pm2.run_function(&mut f, &md()), "{level:?}");
+            assert_eq!(
+                (f.blocks.len(), f.inst_count()),
+                (blocks, insts),
+                "fixed point must be structurally stable: {f}"
+            );
+        }
     }
 
     /// Runs `p` as the only SSA pass of a verify-each manager over the
@@ -3649,11 +3322,11 @@ mod tests {
     }
 
     #[test]
-    fn sccp_folds_through_branches_the_dense_fold_leaves() {
+    fn sccp_folds_through_branches_it_decides() {
         // x = 1; if x { y = 2 } else { y = 3 }; z = y + 4; return z.
-        // The dense fold gets there too (it folds x, then the branch, but
-        // only φ-meets over *all* args); SCCP must prove y = 2 because
-        // the else edge is not executable, and fold z to 6 in one run.
+        // SCCP must prove y = 2 because the else edge is not executable
+        // (the φ meets over executable edges only), and fold z to 6 in
+        // one run.
         let mut f = MirFunction {
             name: "s".into(),
             params: 0,
@@ -3773,12 +3446,15 @@ mod tests {
         assert_eq!(f.blocks.len(), 4, "no block may be removed: {f}");
     }
 
+    /// Regression keyed to the verifier's `phi-outside-join` and
+    /// `phi-pred-mismatch` rules: folding a constant branch removes a CFG
+    /// edge, so the join φ must lose the stale argument instead of leaving
+    /// it dangling for the next pass to trip over.
     #[test]
     fn sccp_prunes_phi_args_of_folded_edges() {
-        // bb0 -Br(c)-> bb1 / bb2, both goto bb3 (φ); bb2 is also reachable
-        // from bb4... simplified: constant branch kills one edge; the φ in
-        // the join must lose the stale argument.
-        let mut f = MirFunction {
+        // Built pre-SSA: bb0 -Br(1)-> bb1 / bb2, both goto bb3, where
+        // `ssa::construct` places the φ for v2.
+        let mut built = MirFunction {
             name: "p".into(),
             params: 1,
             returns_value: true,
@@ -3818,20 +3494,69 @@ mod tests {
             ],
             next_vreg: 3,
         };
-        ssa::construct(&mut f, &mut AnalysisCache::new());
-        assert!(sccp(&mut f, &md(), &mut AnalysisCache::new()).any());
-        let preds = cfg::predecessors(&f);
-        for b in f.block_ids() {
-            for inst in &f.block(b).insts {
-                if let Inst::Phi { args, .. } = inst {
-                    for (p, _) in args {
-                        assert!(
-                            preds[b.0 as usize].contains(p),
-                            "stale φ-arg from {p} in {f}"
-                        );
+        ssa::construct(&mut built, &mut AnalysisCache::new());
+        // Written in SSA: the same diamond with an explicit join φ, which
+        // folding leaves a single-predecessor join.
+        let written = MirFunction {
+            name: "g".into(),
+            params: 0,
+            returns_value: true,
+            exported: true,
+            blocks: vec![
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(0),
+                        value: 1,
+                    }],
+                    term: Term::Br {
+                        cond: VReg(0),
+                        then_block: BlockId(1),
+                        else_block: BlockId(2),
+                    },
+                },
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(1),
+                        value: 10,
+                    }],
+                    term: Term::Goto(BlockId(3)),
+                },
+                Block {
+                    insts: vec![Inst::Const {
+                        dst: VReg(2),
+                        value: 20,
+                    }],
+                    term: Term::Goto(BlockId(3)),
+                },
+                Block {
+                    insts: vec![Inst::Phi {
+                        dst: VReg(3),
+                        args: vec![(BlockId(1), VReg(1)), (BlockId(2), VReg(2))],
+                    }],
+                    term: Term::Ret(Some(VReg(3))),
+                },
+            ],
+            next_vreg: 4,
+        };
+        for mut f in [built, written] {
+            assert!(sccp(&mut f, &md(), &mut AnalysisCache::new()).any());
+            let vs = verify::verify_function(&f, verify::Tier::Ssa);
+            assert!(vs.is_empty(), "{}{f}", verify::report(&vs));
+            let preds = cfg::predecessors(&f);
+            for b in f.block_ids() {
+                for inst in &f.block(b).insts {
+                    if let Inst::Phi { args, .. } = inst {
+                        for (p, _) in args {
+                            assert!(
+                                preds[b.0 as usize].contains(p),
+                                "stale φ-arg from {p} in {f}"
+                            );
+                        }
                     }
                 }
             }
+            // The single-pred join must not keep a φ at all.
+            assert_eq!(count_phis(&f), 0, "{f}");
         }
     }
 
@@ -5042,10 +4767,12 @@ mod tests {
         let cell = (0usize, 0i32);
         assert!(avail.universe().contains(&cell));
         let c = avail.cell_index(cell).expect("in the universe");
-        // Stored on the then-arm only: available at its exit, not at the
-        // else-arm's, so the join entry set is empty.
-        assert!(avail.on_edge(BlockId(1), c));
-        assert!(!avail.on_edge(BlockId(2), c));
+        // Stored on the then-arm only: the then-arm provides the cell, the
+        // else-arm neither provides it nor receives it, so the join entry
+        // set does not contain it.
+        assert!(avail.effects(BlockId(1)).provides[c].is_some());
+        assert!(avail.effects(BlockId(2)).provides[c].is_none());
+        assert!(!avail.on_entry(BlockId(2), c));
         assert!(!avail.on_entry(BlockId(3), c));
         // Stored on both arms: available on join entry.
         let f2 = diamond_mem_fn(Some(1), Some(2));
@@ -5217,46 +4944,6 @@ mod tests {
             next_vreg: 4,
         };
         assert!(!cross_block_forward(&mut f, &md(), &mut AnalysisCache::new()).any());
-        assert_eq!(count_loads(&f), 1, "{f}");
-    }
-
-    #[test]
-    fn load_pre_compensates_the_lacking_diamond_arm() {
-        // Stored on the then-arm only: PRE inserts the compensating load
-        // in the else-arm and phi-merges, deleting the join's load.
-        let mut f = diamond_mem_fn(Some(7), None);
-        assert!(load_pre(&mut f, &md(), &mut AnalysisCache::new()).any());
-        assert_eq!(count_phis(&f), 1, "{f}");
-        assert_eq!(
-            f.blocks[2]
-                .insts
-                .iter()
-                .filter(|i| matches!(i, Inst::Load { .. }))
-                .count(),
-            1,
-            "compensating load lands in the lacking arm: {f}"
-        );
-        assert!(
-            !f.blocks[3]
-                .insts
-                .iter()
-                .any(|i| matches!(i, Inst::Load { .. })),
-            "the join's load is gone: {f}"
-        );
-        // Fully redundant now: a second run has nothing left to do.
-        assert!(
-            !load_pre(&mut f, &md(), &mut AnalysisCache::new()).any(),
-            "{f}"
-        );
-    }
-
-    #[test]
-    fn load_pre_leaves_fully_unavailable_joins_alone() {
-        let mut f = diamond_mem_fn(None, None);
-        assert!(
-            !load_pre(&mut f, &md(), &mut AnalysisCache::new()).any(),
-            "{f}"
-        );
         assert_eq!(count_loads(&f), 1, "{f}");
     }
 

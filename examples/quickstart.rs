@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Code generation (Nested Switch) + compilation at -Os, before
     //    and after model optimization. -Os runs occ's full mid-end
     //    roster — SCCP, GVN/CSE, the block-local and cross-block
-    //    store-to-load forwarding family, load-PRE, DSE, LICM, DCE,
-    //    crossjumping (see the occ::opt module rustdoc); where measured
+    //    store-to-load forwarding family, DSE, LICM, DCE, crossjumping
+    //    (see the occ::opt module rustdoc); where measured
     //    orderings deviate from the paper's tables, EXPERIMENTS.md is
     //    the ledger of record.
     for (label, model) in [("original ", &machine), ("optimized", &outcome.machine)] {

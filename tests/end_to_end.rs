@@ -221,31 +221,44 @@ fn new_passes_fire_on_sample_machines_at_o2() {
     for machine in &machines {
         for pattern in Pattern::all() {
             let generated = cgen::generate(machine, pattern).expect("generates");
-            let artifact = occ::compile(&generated.module, OptLevel::O2).expect("compiles");
-            let stats = artifact.pass_stats();
-            // SCCP subsumes the dense fold, which only -O1 registers.
-            assert!(
-                stats.get("const-fold").is_none(),
-                "const-fold ran at -O2 on {}",
-                machine.name()
-            );
-            for name in [
-                "sccp",
-                "copy-prop",
-                "gvn-cse",
-                "store-load-fwd",
-                "cross-load-fwd",
-                "load-pre",
-                "dse",
-                "licm",
-                "term-fold",
-                "dce",
-                "copy-coalesce",
-                "tail-merge",
-            ] {
-                let st = stats.get(name).unwrap_or_else(|| panic!("{name} missing"));
-                assert!(st.runs > 0, "{name} never ran on {}", machine.name());
-                *fired.entry(name).or_default() |= st.changes > 0;
+            // SCCP is the constant pass at every level above -O0; the
+            // retired const-fold and load-pre passes run at none.
+            for level in [OptLevel::O1, OptLevel::O2, OptLevel::Os] {
+                let artifact = occ::compile(&generated.module, level).expect("compiles");
+                let stats = artifact.pass_stats();
+                for retired in ["const-fold", "load-pre"] {
+                    assert!(
+                        stats.get(retired).is_none(),
+                        "{retired} ran at {level:?} on {}",
+                        machine.name()
+                    );
+                }
+                if level != OptLevel::O2 {
+                    let sccp = stats.get("sccp").map_or(0, |st| st.runs);
+                    assert!(
+                        sccp > 0,
+                        "sccp never ran at {level:?} on {}",
+                        machine.name()
+                    );
+                    continue;
+                }
+                for name in [
+                    "sccp",
+                    "copy-prop",
+                    "gvn-cse",
+                    "store-load-fwd",
+                    "cross-load-fwd",
+                    "dse",
+                    "licm",
+                    "term-fold",
+                    "dce",
+                    "copy-coalesce",
+                    "tail-merge",
+                ] {
+                    let st = stats.get(name).unwrap_or_else(|| panic!("{name} missing"));
+                    assert!(st.runs > 0, "{name} never ran on {}", machine.name());
+                    *fired.entry(name).or_default() |= st.changes > 0;
+                }
             }
         }
     }

@@ -6,8 +6,8 @@
 //! mixes over overlapping and disjoint cells of mutable and rodata
 //! globals (memory-pass fodder: stores landing in loop bodies, and
 //! store/load mixes *across* block boundaries — cross-block forwarding
-//! and load-PRE fodder) — must produce the same EM32 extern-call trace
-//! at `-O1`/`-O2`/`-Os` as at `-O0`, and under each new pass applied in
+//! fodder) — must produce the same EM32 extern-call trace at
+//! `-O1`/`-O2`/`-Os` as at `-O0`, and under each new pass applied in
 //! isolation.
 //!
 //! Every load's value is emitted through the `emit` extern, so a memory
@@ -487,14 +487,12 @@ fn trace_with_passes(program: &Program, passes: &[opt::SsaPass]) -> Vec<(String,
 
 /// Every SSA pass under its reporting name, for randomly composed
 /// rosters.
-const SSA_PASSES: [(&str, opt::SsaPass); 11] = [
+const SSA_PASSES: [(&str, opt::SsaPass); 9] = [
     (opt::pass::SCCP, opt::sccp),
-    (opt::pass::CONST_FOLD, opt::constant_fold),
     (opt::pass::COPY_PROP, opt::copy_propagate),
     (opt::pass::GVN_CSE, opt::gvn_cse),
     (opt::pass::STORE_LOAD_FWD, opt::store_load_forward),
     (opt::pass::CROSS_LOAD_FWD, opt::cross_block_forward),
-    (opt::pass::LOAD_PRE, opt::load_pre),
     (opt::pass::DSE, opt::dead_store_elim),
     (opt::pass::LICM, opt::licm),
     (opt::pass::TERM_FOLD, opt::fold_terminators),
@@ -744,31 +742,9 @@ proptest! {
         prop_assert_eq!(&cleaned, &oracle, "cross_block_forward + cleanup diverges");
     }
 
-    /// Load partial-redundancy elimination alone preserves the trace —
-    /// its speculative compensating loads must read the same cell the
-    /// deleted join load would have, on every path.
-    #[test]
-    fn load_pre_preserves_em32_trace(
-        consts in prop::collection::vec(-8i32..8, 2..5),
-        ops in prop::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..4),
-        blocks in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 2..6),
-    ) {
-        let program = build_program(&consts, &ops, &blocks, 0);
-        let oracle = trace_at(&program, OptLevel::O0);
-        let got = trace_with_passes(&program, &[opt::load_pre]);
-        prop_assert_eq!(&got, &oracle, "load_pre diverges");
-        // PRE makes the join load fully redundant; cross-block forwarding
-        // stacked on top must agree too.
-        let stacked = trace_with_passes(
-            &program,
-            &[opt::load_pre, opt::cross_block_forward, opt::dead_code_elim],
-        );
-        prop_assert_eq!(&stacked, &oracle, "load_pre + cross_block_forward diverges");
-    }
-
     /// The whole memory family stacked — load-hoisting LICM over blocks
     /// whose loops store to the very globals being read, then block-local
-    /// and cross-block forwarding, PRE and dead-store elimination, then
+    /// and cross-block forwarding and dead-store elimination, then
     /// cleanup — preserves the trace.
     #[test]
     fn memory_pass_family_preserves_em32_trace(
@@ -784,7 +760,6 @@ proptest! {
                 opt::licm,
                 opt::store_load_forward,
                 opt::cross_block_forward,
-                opt::load_pre,
                 opt::dead_store_elim,
                 opt::gvn_cse,
                 opt::copy_propagate,
